@@ -561,10 +561,10 @@ int main() {
         .set("lookups_per_sec", static_cast<double>(pr_lookups.load()) / p_secs)
         .set("mismatches", static_cast<size_t>(pr_bad.load()));
   }
-  std::printf("note: one hardware core on this container — saturated threads "
-              "timeshare, so\nthe scaling rows measure CPU-share recovery (the "
-              "thing reader-preference used\nto deny writers); multi-core hosts "
-              "add real concurrency on top\n");
+  std::printf("note: %u hardware cores on this host; saturated threads beyond "
+              "that timeshare,\nand those scaling rows measure CPU-share recovery "
+              "(the thing reader-preference\nused to deny writers)\n",
+              std::thread::hardware_concurrency());
 
   // (f) replicated-pipeline readers during churn: the reader side is the
   // REAL dataplane — a 2-replica TraceSource -> FlowCache -> Classifier ->

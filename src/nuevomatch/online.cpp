@@ -120,7 +120,7 @@ void OnlineNuevoMatch::journal_locked(Op op) {
 
 bool OnlineNuevoMatch::insert_locked(const Rule& r, bool& churn_dirty) {
   if (live_loc_.contains(r.id)) return false;  // ids are unique; see header
-  pending_inserts_.push_back(r);
+  churn_mirror_.insert(r);
   live_loc_.emplace(r.id, LiveInfo{Loc::kChurn, r.priority});
   ++migrated_;
   live_count_.fetch_add(1, std::memory_order_relaxed);
@@ -148,7 +148,7 @@ bool OnlineNuevoMatch::erase_locked(uint32_t rule_id, bool& churn_dirty,
       base_dirty = true;
       break;
     case Loc::kChurn:
-      pending_churn_erases_.push_back(rule_id);
+      churn_mirror_.erase(rule_id);
       churn_dirty = true;
       break;
   }
@@ -182,8 +182,8 @@ void OnlineNuevoMatch::bump_coherence(uint32_t bands) noexcept {
 std::shared_ptr<const Classifier> OnlineNuevoMatch::rebuild_base_locked() const {
   // Generic base-remainder deletion: rebuild the engine over the surviving
   // base rules via the configured factory. O(remainder) — the rare path
-  // (iSet deletions are O(1) tombstones, churn deletions O(delta)); a batch
-  // of base deletions pays for ONE rebuild.
+  // (iSet deletions are O(1) tombstones, churn deletions O(bucket) in the
+  // writer's mirror); a batch of base deletions pays for ONE rebuild.
   std::vector<Rule> live;
   live.reserve(base_rules_.size());
   for (const Rule& r : base_rules_) {
@@ -201,32 +201,11 @@ void OnlineNuevoMatch::publish_layer_locked(bool churn_dirty, bool base_dirty) {
 
   if (!churn_dirty) {
     fresh->churn = layer_owner_->churn;
-  } else {
-    // Rebuild the flat delta: one merge pass over (previous delta minus
-    // this commit's erases) and (this commit's inserts, sorted). O(delta +
-    // burst) with memcpy-class constants — flat enough that per-commit cost
-    // stays negligible even at single-op commit rates, and independent of
-    // reader behavior (no grace period involved).
-    const auto less = [](const Rule& a, const Rule& b) {
-      return a.priority != b.priority ? a.priority < b.priority : a.id < b.id;
-    };
-    std::sort(pending_inserts_.begin(), pending_inserts_.end(), less);
-    const std::unordered_set<uint32_t> dead(pending_churn_erases_.begin(),
-                                            pending_churn_erases_.end());
-    static const std::vector<Rule> kEmpty;
-    const std::vector<Rule>& old =
-        layer_owner_->churn != nullptr ? layer_owner_->churn->rules : kEmpty;
-    auto list = std::make_shared<ChurnList>();
-    list->rules.reserve(old.size() + pending_inserts_.size());
-    size_t j = 0;
-    for (const Rule& r : old) {
-      if (dead.contains(r.id)) continue;
-      while (j < pending_inserts_.size() && less(pending_inserts_[j], r))
-        list->rules.push_back(pending_inserts_[j++]);
-      list->rules.push_back(r);
-    }
-    for (; j < pending_inserts_.size(); ++j) list->rules.push_back(pending_inserts_[j]);
-    if (!list->rules.empty()) fresh->churn = std::move(list);
+  } else if (churn_mirror_.size() > 0) {
+    // The commit's ops are already in the mirror; readers get an immutable
+    // copy that re-packs only the pages this commit touched (see header).
+    fresh->churn = std::make_shared<const TupleMergeSnapshot>(
+        churn_mirror_.snapshot(layer_owner_->churn.get()));
   }
 
   // One seq_cst store publishes the whole commit; the superseded layer is
@@ -234,9 +213,7 @@ void OnlineNuevoMatch::publish_layer_locked(bool churn_dirty, bool base_dirty) {
   gen_owner_->layer.store(fresh.get(), std::memory_order_seq_cst);
   retired_.retire(layer_owner_, epochs_.retire_stamp());
   layer_owner_ = std::move(fresh);
-  churn_size_.store(
-      layer_owner_->churn != nullptr ? layer_owner_->churn->rules.size() : 0,
-      std::memory_order_relaxed);
+  churn_size_.store(churn_mirror_.size(), std::memory_order_relaxed);
   retired_.collect(epochs_.min_active());
   if (NM_METRICS_ENABLED) {
     static telemetry::Gauge& g = telemetry::registry().gauge(
@@ -266,8 +243,6 @@ size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
     double pressure = 0.0;
     {
       std::lock_guard lk{wmu_};
-      pending_inserts_.clear();
-      pending_churn_erases_.clear();
       uint64_t seq =
           op_seq_.fetch_add(rules.size() - next, std::memory_order_relaxed);
       size_t room = bounded ? insert_room_locked() : SIZE_MAX;
@@ -337,8 +312,6 @@ size_t OnlineNuevoMatch::erase_batch(std::span<const uint32_t> rule_ids) {
   bool freed = false;
   {
     std::lock_guard lk{wmu_};
-    pending_inserts_.clear();
-    pending_churn_erases_.clear();
     uint64_t seq = op_seq_.fetch_add(rule_ids.size(), std::memory_order_relaxed);
     bool churn_dirty = false;
     bool base_dirty = false;
@@ -394,8 +367,7 @@ void OnlineNuevoMatch::install_generation_locked(
   // the writer lock only — the read path never notices.
   base_rules_ = fresh->nm.remainder_rules();
   erased_base_.clear();
-  pending_inserts_.clear();
-  pending_churn_erases_.clear();
+  churn_mirror_ = TupleMerge{};
   live_loc_.clear();
   live_loc_.reserve(fresh->nm.size());
   int64_t prio_lo = INT64_MAX;
@@ -580,6 +552,16 @@ void OnlineNuevoMatch::quiesce() const {
   wk_cv_.wait(lk, [&] { return !retrain_requested_ && !retrain_running_; });
 }
 
+std::vector<Rule> OnlineNuevoMatch::churn_rules_locked() const {
+  // (priority, id) order, LinearSearch's: compositions do not depend on the
+  // order the writer happened to apply the delta in.
+  std::vector<Rule> out = churn_mirror_.live_rules();
+  std::sort(out.begin(), out.end(), [](const Rule& a, const Rule& b) {
+    return a.priority != b.priority ? a.priority < b.priority : a.id < b.id;
+  });
+  return out;
+}
+
 std::vector<Rule> OnlineNuevoMatch::compose_rules_locked() const {
   // The logical rule-set: live iSet rules + surviving base-remainder rules +
   // the churn delta. (The frozen nm's own rules() is NOT authoritative here:
@@ -594,10 +576,8 @@ std::vector<Rule> OnlineNuevoMatch::compose_rules_locked() const {
   for (const Rule& r : base_rules_) {
     if (!erased_base_.contains(r.id)) out.push_back(r);
   }
-  if (layer_owner_->churn != nullptr) {
-    const auto& churn = layer_owner_->churn->rules;
-    out.insert(out.end(), churn.begin(), churn.end());
-  }
+  const std::vector<Rule> churn = churn_rules_locked();
+  out.insert(out.end(), churn.begin(), churn.end());
   return out;
 }
 
@@ -611,13 +591,12 @@ void OnlineNuevoMatch::with_stable_view(
   std::lock_guard lk{wmu_};
   std::vector<IsetIndex> isets_copy = gen_owner_->nm.isets();
   std::vector<Rule> rem;
-  const std::vector<Rule>* churn =
-      layer_owner_->churn != nullptr ? &layer_owner_->churn->rules : nullptr;
-  rem.reserve(base_rules_.size() + (churn != nullptr ? churn->size() : 0));
+  const std::vector<Rule> churn = churn_rules_locked();
+  rem.reserve(base_rules_.size() + churn.size());
   for (const Rule& r : base_rules_) {
     if (!erased_base_.contains(r.id)) rem.push_back(r);
   }
-  if (churn != nullptr) rem.insert(rem.end(), churn->begin(), churn->end());
+  rem.insert(rem.end(), churn.begin(), churn.end());
   NuevoMatch tmp{cfg_.base};
   tmp.restore(std::move(isets_copy), std::move(rem),
               /*erased_ids=*/{}, built_size_, migrated_);
@@ -638,10 +617,13 @@ uint64_t OnlineNuevoMatch::update_ops() const {
 }
 
 size_t OnlineNuevoMatch::memory_bytes() const {
+  // What readers probe: the generation plus the published layer. The churn
+  // snapshot counts whole, since its rule bodies are its entries; the
+  // writer's mirror and routing maps are bookkeeping, like the journal.
   const Pin v{*this};
   size_t bytes = v.g_->nm.memory_bytes();
   if (v.l_->base_override != nullptr) bytes += v.l_->base_override->memory_bytes();
-  if (v.l_->churn != nullptr) bytes += v.l_->churn->rules.size() * sizeof(Rule);
+  if (v.l_->churn != nullptr) bytes += v.l_->churn->memory_bytes();
   return bytes;
 }
 
@@ -874,17 +856,21 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
 
 EngineHealth OnlineNuevoMatch::health() const {
   EngineHealth h;
-  h.degraded = degraded_.load(std::memory_order_acquire);
   h.generation = generations();
-  h.retrain_failures = retrain_failures_.load(std::memory_order_relaxed);
-  h.retrain_failures_total =
-      retrain_failures_total_.load(std::memory_order_relaxed);
   h.journal_depth = journal_depth_.load(std::memory_order_relaxed);
   h.churn_rules = churn_size_.load(std::memory_order_relaxed);
   h.shed_ops = shed_ops_.load(std::memory_order_relaxed);
   h.absorption = absorption();  // takes wmu_ (released before wk_mu_ below)
   {
     std::lock_guard lk{wk_mu_};
+    // The worker settles a cycle's outcome (failure count, degraded flag,
+    // retry request) in one wk_mu_ section, so reading them here keeps them
+    // coherent with retrain_pending: a snapshot showing the ladder over
+    // also shows how it ended.
+    h.degraded = degraded_.load(std::memory_order_acquire);
+    h.retrain_failures = retrain_failures_.load(std::memory_order_relaxed);
+    h.retrain_failures_total =
+        retrain_failures_total_.load(std::memory_order_relaxed);
     h.retrain_pending = retrain_requested_ || retrain_running_;
     // retrain_retry_ is armed by a failed cycle and cleared when the worker
     // begins the retry attempt — exactly the backoff window.

@@ -77,6 +77,7 @@
 #include "common/rng.hpp"
 #include "nuevomatch/epoch.hpp"
 #include "nuevomatch/nuevomatch.hpp"
+#include "tuplemerge/tuplemerge.hpp"
 
 namespace nuevomatch {
 
@@ -430,28 +431,21 @@ class OnlineNuevoMatch final : public Classifier {
   [[nodiscard]] std::string name() const override;
 
  private:
-  /// Immutable churn delta: every rule inserted since the last swap, sorted
-  /// by (priority, id) — best first, LinearSearch order. Published
-  /// copy-on-write per commit: one reserve + one merge pass, O(delta +
-  /// burst) with memcpy-class constants, deliberately NOT a pointer-based
-  /// engine — a flat array is the only structure whose per-commit copy
-  /// stays cheap when a preempted reader parks mid-pin for a whole
-  /// scheduler slice (which on a loaded single core is the common case, so
-  /// any grace-period-gated in-place scheme degrades to cloning anyway).
-  /// Lookups scan with the caller's running best as a floor: a packet
-  /// already matched by a better base rule exits at element 0; the
-  /// unfloored worst case is O(delta), bounded by retrain_threshold.
-  struct ChurnList {
-    std::vector<Rule> rules;
-    [[nodiscard]] MatchResult match_with_floor(const Packet& p,
-                                               int32_t floor) const noexcept {
-      for (const Rule& r : rules) {
-        if (r.priority >= floor) break;  // sorted: nothing later can beat it
-        if (r.matches(p)) return MatchResult{static_cast<int32_t>(r.id), r.priority};
-      }
-      return MatchResult{};
-    }
-  };
+  /// The churn delta — every rule inserted since the last swap — is the
+  /// remainder's own engine, a TupleMerge (paper §3.9), in two forms. The
+  /// writer keeps a private mirror (churn_mirror_) and applies each
+  /// commit's inserts and erases to it in place: a table walk plus O(1)
+  /// hashing per op. Readers get a TupleMergeSnapshot of it, published in
+  /// the commit's successor Layer: immutable pages of rule bodies, no
+  /// tombstones and no id map (that stays writer-private). A snapshot
+  /// shares every page the commit did not touch with its predecessor, so
+  /// the per-commit copy is O(ops), and it costs the same whatever readers
+  /// do — a preempted reader parked mid-pin only delays reclamation, so no
+  /// grace-period scheme is involved. Lookups probe the snapshot with the
+  /// caller's running best as floor: tables are sorted by best priority and
+  /// buckets by priority, so a packet already matched by a better base rule
+  /// stops at the first table, and a miss costs one bucket per table rather
+  /// than a scan of the delta.
 
   /// Immutable update overlay. A commit never mutates the published layer —
   /// it builds a successor from the writer's pending state and publishes it
@@ -460,9 +454,9 @@ class OnlineNuevoMatch final : public Classifier {
     /// Replacement for the generation's base remainder engine after a
     /// base-remainder deletion; null = use the generation's own.
     std::shared_ptr<const Classifier> base_override;
-    /// The churn delta since the last swap; null while no churn is pending
-    /// (the common fast path skips the whole probe).
-    std::shared_ptr<const ChurnList> churn;
+    /// Snapshot of the churn delta since the last swap; null while no
+    /// churn is pending (the common fast path skips the whole probe).
+    std::shared_ptr<const TupleMergeSnapshot> churn;
   };
 
   /// One published generation: a frozen trained index plus the current
@@ -523,6 +517,8 @@ class OnlineNuevoMatch final : public Classifier {
   void journal_locked(Op op);
   [[nodiscard]] std::shared_ptr<const Classifier> rebuild_base_locked() const;
   [[nodiscard]] std::vector<Rule> compose_rules_locked() const;
+  /// The churn delta's live rules, sorted by (priority, id).
+  [[nodiscard]] std::vector<Rule> churn_rules_locked() const;
   void install_generation_locked(std::shared_ptr<Generation> fresh,
                                  const std::vector<uint64_t>* shard_ops,
                                  bool reset_counters);
@@ -588,8 +584,7 @@ class OnlineNuevoMatch final : public Classifier {
   std::unordered_map<uint32_t, LiveInfo> live_loc_;  // id → residence+priority
   std::vector<Rule> base_rules_;                 // base-remainder rules at swap
   std::unordered_set<uint32_t> erased_base_;     // base-remainder ids erased since
-  std::vector<Rule> pending_inserts_;            // this commit's churn adds
-  std::vector<uint32_t> pending_churn_erases_;   // this commit's churn removals
+  TupleMerge churn_mirror_;                      // writer copy of the delta
   size_t built_size_ = 0;   // rules the live index was trained on
   size_t migrated_ = 0;     // inserts absorbed since the last swap
   bool journal_open_ = false;

@@ -55,6 +55,19 @@ struct TupleMask {
 /// fields whose range is not a prefix block.
 [[nodiscard]] TupleMask tuple_of(const Rule& r) noexcept;
 
+/// True when a rule of priority `priority` could still beat `best` under the
+/// (priority, id) order of types.hpp. While `best` is not a hit it carries
+/// the caller's floor, which is strict; once it is a hit, an equal priority
+/// can still win on a smaller id. Both the bucket walk and the table walk
+/// stop at the first bound for which this is false.
+[[nodiscard]] inline bool may_beat(int32_t priority, const MatchResult& best) noexcept {
+  return priority < best.priority || (priority == best.priority && best.hit());
+}
+
+/// Hash of a masked key: a table's bucket is the hash modulo its
+/// power-of-two bucket count.
+[[nodiscard]] uint64_t hash_key(const std::array<uint32_t, kNumFields>& key) noexcept;
+
 /// One hash table holding rules under a common mask.
 class TupleTable {
  public:
@@ -69,6 +82,10 @@ class TupleTable {
   static constexpr uint32_t kDead = std::numeric_limits<uint32_t>::max();
 
   void insert(const Rule& r, uint32_t rule_pos);
+  /// O(bucket): tombstones the entry and leaves max_collisions() as it was
+  /// (a stale chain length only makes the next split conservative; the next
+  /// compaction makes it exact). best_priority() moves only when the erased
+  /// entry defined it: a min scan, no rehash, on 1 erase in ~size().
   bool erase(uint32_t rule_pos, const Rule& r);
 
   /// Probe with a packet; appends candidate rule positions to `out`.
@@ -93,14 +110,68 @@ class TupleTable {
   /// All entries (rebuild support).
   [[nodiscard]] std::vector<Entry> all_entries() const;
 
-  /// Fold overflow into the flat layout and drop tombstones.
+  /// Fold overflow into the flat layout and drop tombstones: one merge pass,
+  /// or a full rehash when the entry count calls for another bucket count.
   void compact();
+  /// Rebuild the flat layout from scratch under a fresh layout() (bulk
+  /// builds: no snapshot can hold pages of a table built a moment ago, so
+  /// it starts with no page versions).
+  void rehash() { rebuild(all_entries()); }
+
+  /// Rewrite every rule position through `fresh_pos` (old -> new), for an
+  /// owner that compacts its rule array.
+  void remap(std::span<const uint32_t> fresh_pos) noexcept;
+
+  // --- snapshot support (TupleMergeSnapshot) -----------------------------
+  // Buckets are cut into pages of kPageBuckets. A page's version changes
+  // whenever its live rules do, and layout() — unique across all tables —
+  // changes whenever rules move between buckets (rehash, split), so a
+  // (layout, page, version) triple names a page's content and a snapshot
+  // can reuse the pages a commit did not touch.
+  static constexpr uint32_t kPageShift = 6;
+  static constexpr uint32_t kPageBuckets = 1u << kPageShift;
+  [[nodiscard]] size_t bucket_count() const noexcept { return heads_.size(); }
+  [[nodiscard]] uint64_t layout() const noexcept { return layout_; }
+  [[nodiscard]] size_t page_count() const noexcept {
+    return (heads_.size() + kPageBuckets - 1) >> kPageShift;
+  }
+  [[nodiscard]] uint32_t page_version(size_t page) const noexcept {
+    return page_version_.empty() ? 0 : page_version_[page];
+  }
+  /// Overflow entries as (bucket, entry), sorted by bucket then priority.
+  using Extras = std::vector<std::pair<uint32_t, const Entry*>>;
+  [[nodiscard]] Extras sorted_overflow() const;
+  /// Append page `page`'s live rule bodies to `packed`, bucket by bucket in
+  /// priority order with `extra` (sorted_overflow()) merged in. start[i]
+  /// receives the index in `packed` where the page's i-th bucket begins;
+  /// one more start marks the end.
+  void pack_page(size_t page, const Extras& extra, std::span<const Rule> rules,
+                 uint32_t* start, std::vector<Rule>& packed) const;
 
  private:
   [[nodiscard]] std::array<uint32_t, kNumFields> key_of(const Rule& r) const noexcept;
   [[nodiscard]] size_t bucket_of(const std::array<uint32_t, kNumFields>& key) const noexcept;
   void rebuild(std::vector<Entry> live);
   void recompute_stats() noexcept;
+  void recompute_best() noexcept;
+  /// Visit the live entries of buckets [b0, b1) bucket by bucket in
+  /// priority order, `extra` merged in, calling emit(entry) for each;
+  /// start[b - b0] receives the running count (from `n`) where bucket b
+  /// begins. Returns the final count.
+  template <typename Emit>
+  uint32_t walk_merged(const Extras& extra, uint32_t b0, uint32_t b1, uint32_t* start,
+                       uint32_t n, Emit&& emit) const;
+  /// False when no overflow entry hashes to bucket `b`.
+  [[nodiscard]] bool may_overflow(size_t b) const noexcept {
+    return !overflow_buckets_.empty() && ((overflow_buckets_[b / 64] >> (b % 64)) & 1u);
+  }
+  /// A rule of bucket `b` was added or removed.
+  void touch(size_t b) {
+    if (page_version_.empty()) page_version_.assign(page_count(), 0);
+    ++page_version_[b >> kPageShift];
+  }
+  /// Rules moved between buckets: every page of the old layout is stale.
+  void new_layout();
 
   TupleMask mask_;
   // Flat region: per-bucket contiguous, priority-sorted entries.
@@ -109,10 +180,17 @@ class TupleTable {
   std::vector<Entry> entries_;
   // Update region: recent inserts, folded in by compact().
   std::vector<Entry> overflow_;
+  // Bit b: an overflow entry may hash to bucket b (erases leave it set).
+  // Empty while overflow_ is, so built tables carry none.
+  std::vector<uint64_t> overflow_buckets_;
   size_t n_entries_ = 0;
   size_t n_dead_ = 0;  // tombstones inside entries_
   size_t max_chain_ = 0;  // max same-key multiplicity
   int32_t best_priority_ = std::numeric_limits<int32_t>::max();
+  uint64_t layout_ = 0;
+  // Per page of kPageBuckets buckets; empty (all 0) until an update, so
+  // built tables carry none.
+  std::vector<uint32_t> page_version_;
 };
 
 }  // namespace nuevomatch

@@ -1,6 +1,7 @@
 #include "tuplemerge/tuplemerge.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/mem.hpp"
 
@@ -24,6 +25,10 @@ TupleMerge& TupleMerge::operator=(const TupleMerge& o) {
 }
 
 namespace {
+
+/// compact_rules() waits for at least this many erased slots, so small
+/// engines do not renumber on every other erase.
+constexpr size_t kMinCompactSlots = 64;
 
 /// Table mask for a new table holding rules of tuple `t`: TupleMerge relaxes
 /// IPv4 lengths so similar tuples can share the table; TSS keeps `t` as-is.
@@ -60,7 +65,7 @@ void TupleMerge::build(std::span<const Rule> rules) {
   for (uint32_t pos : order) insert_into_tables(pos);
   // Fold every table's update region into its flat layout: bulk build must
   // leave nothing on the linear-scan path.
-  for (auto& tbl : tables_) tbl->compact();
+  for (auto& tbl : tables_) tbl->rehash();
   sort_tables();
 }
 
@@ -109,7 +114,7 @@ MatchResult TupleMerge::match_with_floor(const Packet& p, int32_t priority_floor
   MatchResult best;
   best.priority = priority_floor;  // acts as the pruning bound; not a hit yet
   for (const auto& tbl : tables_) {
-    if (tbl->best_priority() >= best.priority) break;  // sorted: nothing better left
+    if (!may_beat(tbl->best_priority(), best)) break;  // sorted: nothing better left
     tbl->probe_best(p, rules_, alive_, best);
   }
   return best.rule_id != MatchResult::kNoMatch ? best : MatchResult{};
@@ -139,22 +144,126 @@ bool TupleMerge::erase(uint32_t rule_id) {
     if (pos == rules_.size()) return false;
   }
   if (!alive_[pos]) return false;
-  for (auto& tbl : tables_) {
-    const int32_t best_before = tbl->best_priority();
-    if (tbl->erase(pos, rules_[pos])) {
-      alive_[pos] = 0;
-      --live_rules_;
-      if (it != pos_by_id_.end()) pos_by_id_.erase(it);
-      // Erasing a table's best rule RAISES its best_priority, breaking the
-      // ascending order match_with_floor's early-termination break relies
-      // on — later tables with better rules would be skipped. Restore it
-      // (only when the bound actually moved: this runs inside the online
-      // writer's generation-exclusive section).
-      if (tbl->best_priority() != best_before) sort_tables();
-      return true;
+  // Only a table whose mask covers the rule's tuple can hold it.
+  const TupleMask t = tuple_of(rules_[pos]);
+  for (auto tbl = tables_.begin(); tbl != tables_.end(); ++tbl) {
+    if (!(*tbl)->mask().covers(t)) continue;
+    const int32_t best_before = (*tbl)->best_priority();
+    if (!(*tbl)->erase(pos, rules_[pos])) continue;
+    alive_[pos] = 0;
+    --live_rules_;
+    if (it != pos_by_id_.end()) pos_by_id_.erase(it);
+    if ((*tbl)->size() == 0) {
+      tables_.erase(tbl);  // keeps the order of the others
+    } else if ((*tbl)->best_priority() != best_before) {
+      // Erasing a table's best rule RAISES its bound, possibly past later
+      // tables' — match_with_floor's break would then skip them.
+      sort_tables();
     }
+    if (rules_.size() - live_rules_ > std::max(live_rules_, kMinCompactSlots))
+      compact_rules();
+    return true;
   }
   return false;
+}
+
+void TupleMerge::compact_rules() {
+  std::vector<uint32_t> fresh_pos(rules_.size(), TupleTable::kDead);
+  uint32_t n = 0;
+  for (uint32_t i = 0; i < rules_.size(); ++i) {
+    if (!alive_[i]) continue;
+    fresh_pos[i] = n;
+    rules_[n++] = rules_[i];
+  }
+  rules_.resize(n);
+  alive_.assign(n, 1);
+  for (auto& [id, pos] : pos_by_id_) pos = fresh_pos[pos];  // maps live slots only
+  for (auto& tbl : tables_) tbl->remap(fresh_pos);
+}
+
+TupleMergeSnapshot TupleMerge::snapshot(const TupleMergeSnapshot* prev) const {
+  using Snap = TupleMergeSnapshot;
+  Snap out;
+  out.tables_.reserve(tables_.size());
+  for (const auto& tbl : tables_) {
+    if (tbl->size() == 0) continue;
+    // The same layout means the same table with the same bucket count; a
+    // page whose version did not move holds the same rules. (Linear: the
+    // delta has a handful of tables.)
+    const Snap::Table* old = nullptr;
+    if (prev != nullptr) {
+      for (const Snap::Table& t : prev->tables_) {
+        if (t.layout == tbl->layout()) old = &t;
+      }
+    }
+    Snap::Table t{tbl->mask(), std::numeric_limits<int32_t>::max(),
+                  static_cast<uint32_t>(tbl->bucket_count() - 1), tbl->layout(), {}};
+    t.pages.reserve(tbl->page_count());
+    std::optional<TupleTable::Extras> extra;  // sorted once, if a page is re-packed
+    for (size_t pg = 0; pg < tbl->page_count(); ++pg) {
+      if (old != nullptr && old->pages[pg]->version == tbl->page_version(pg)) {
+        t.pages.push_back(old->pages[pg]);
+      } else {
+        if (!extra) extra = tbl->sorted_overflow();
+        auto page = std::make_shared<Snap::Page>();
+        page->version = tbl->page_version(pg);
+        tbl->pack_page(pg, *extra, rules_, page->start.data(), page->rules);
+        for (const Rule& r : page->rules)
+          page->best_priority = std::min(page->best_priority, r.priority);
+        t.pages.push_back(std::move(page));
+      }
+      t.best_priority = std::min(t.best_priority, t.pages.back()->best_priority);
+      out.size_ += t.pages.back()->rules.size();
+    }
+    out.tables_.push_back(std::move(t));
+  }
+  std::sort(out.tables_.begin(), out.tables_.end(),
+            [](const auto& a, const auto& b) { return a.best_priority < b.best_priority; });
+  return out;
+}
+
+MatchResult TupleMergeSnapshot::match_with_floor(const Packet& p,
+                                                 int32_t priority_floor) const noexcept {
+  MatchResult best;
+  best.priority = priority_floor;  // the pruning bound; not a hit yet
+  for (const Table& t : tables_) {
+    if (!may_beat(t.best_priority, best)) break;  // sorted: nothing better left
+    std::array<uint32_t, kNumFields> key{};
+    for (int f = 0; f < kNumFields; ++f)
+      key[static_cast<size_t>(f)] = mask_field(p[f], f, t.mask.len[static_cast<size_t>(f)]);
+    // A rule that matches p has p's masked key, so it sits in this bucket:
+    // the rule check alone filters the bucket's other keys.
+    const size_t b = hash_key(key) & t.bucket_mask;
+    const Page& page = *t.pages[b >> TupleTable::kPageShift];
+    const size_t i = b & (TupleTable::kPageBuckets - 1);
+    for (const Rule *r = page.rules.data() + page.start[i],
+                    *end = page.rules.data() + page.start[i + 1];
+         r != end; ++r) {
+      if (!may_beat(r->priority, best)) break;  // bucket sorted by priority
+      if (!r->matches(p)) continue;
+      const MatchResult m{static_cast<int32_t>(r->id), r->priority};
+      if (m.beats(best)) best = m;
+    }
+  }
+  return best.hit() ? best : MatchResult{};
+}
+
+size_t TupleMergeSnapshot::memory_bytes() const noexcept {
+  size_t bytes = tables_.size() * sizeof(Table);
+  for (const Table& t : tables_) {
+    bytes += t.pages.size() * (sizeof(std::shared_ptr<const Page>) + sizeof(Page));
+    for (const auto& page : t.pages) bytes += page->rules.size() * sizeof(Rule);
+  }
+  return bytes;
+}
+
+std::vector<Rule> TupleMerge::live_rules() const {
+  std::vector<Rule> out;
+  out.reserve(live_rules_);
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    if (alive_[i]) out.push_back(rules_[i]);
+  }
+  return out;
 }
 
 size_t TupleMerge::memory_bytes() const {

@@ -11,6 +11,8 @@
 // remainder backend (Section 3.9).
 #pragma once
 
+#include <array>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -34,12 +36,55 @@ struct TupleMergeConfig {
   bool enable_merging = true;
 };
 
+/// Immutable copy of a TupleMerge's live rules — what the online engine
+/// publishes per commit as its churn delta (nuevomatch/online.hpp). Each
+/// table keeps its mask and bucket layout, cut into pages of
+/// TupleTable::kPageBuckets buckets; a page holds the rule bodies
+/// themselves, priority-sorted inside each bucket (overflow entries merged
+/// in), plus per-bucket start offsets. No id map, no tombstones, no
+/// entry-to-rule indirection. Pages are shared: a snapshot taken with the
+/// previous one as `prev` re-packs only the pages whose buckets changed
+/// since, so a commit of k ops copies O(k) pages, not the whole delta.
+/// Lookups match TupleMerge::match_with_floor exactly, (priority, id) ties
+/// included.
+class TupleMergeSnapshot {
+ public:
+  TupleMergeSnapshot() = default;
+
+  [[nodiscard]] MatchResult match_with_floor(const Packet& p,
+                                             int32_t priority_floor) const noexcept;
+  [[nodiscard]] MatchResult match(const Packet& p) const noexcept {
+    return match_with_floor(p, std::numeric_limits<int32_t>::max());
+  }
+  [[nodiscard]] size_t size() const noexcept { return size_; }
+  /// All of it, pages shared with other snapshots included: the rule bodies
+  /// are this index's entries.
+  [[nodiscard]] size_t memory_bytes() const noexcept;
+
+ private:
+  friend class TupleMerge;
+  struct Page {
+    uint32_t version = 0;  // TupleTable::page_version() it was packed at
+    int32_t best_priority = std::numeric_limits<int32_t>::max();
+    std::array<uint32_t, TupleTable::kPageBuckets + 1> start{};  // bucket -> first rule
+    std::vector<Rule> rules;
+  };
+  struct Table {
+    TupleMask mask;
+    int32_t best_priority;  // exact: min over the table's rules
+    uint32_t bucket_mask;   // bucket count - 1
+    uint64_t layout;        // TupleTable::layout() of the source table
+    std::vector<std::shared_ptr<const Page>> pages;
+  };
+  std::vector<Table> tables_;  // sorted by best_priority
+  size_t size_ = 0;
+};
+
 class TupleMerge : public Classifier {
  public:
   explicit TupleMerge(TupleMergeConfig cfg = {});
-  /// Deep copy (tables are cloned). The online engine's copy-on-write
-  /// update layers publish cheap clones of a writer-private mirror, so the
-  /// instance readers see is never mutated in place.
+  /// Exact deep copy: tables, tombstoned rule slots and the id map are all
+  /// cloned. A reader-side copy wants snapshot() instead.
   TupleMerge(const TupleMerge& o);
   TupleMerge& operator=(const TupleMerge& o);
   TupleMerge(TupleMerge&&) noexcept = default;
@@ -64,6 +109,14 @@ class TupleMerge : public Classifier {
     return cfg_.enable_merging ? "tuplemerge" : "tss";
   }
 
+  /// Immutable copy for lock-free readers (see TupleMergeSnapshot). `prev`,
+  /// an earlier snapshot of this same object or null, lends the pages no
+  /// update has touched since it was taken.
+  [[nodiscard]] TupleMergeSnapshot snapshot(const TupleMergeSnapshot* prev = nullptr) const;
+
+  /// The live rules, in insertion order.
+  [[nodiscard]] std::vector<Rule> live_rules() const;
+
   [[nodiscard]] size_t num_tables() const noexcept { return tables_.size(); }
   /// Table inventory (diagnostics, benches and tests).
   [[nodiscard]] const std::vector<std::unique_ptr<TupleTable>>& tables() const noexcept {
@@ -73,6 +126,9 @@ class TupleMerge : public Classifier {
  private:
   void insert_into_tables(uint32_t rule_pos);
   void sort_tables();
+  /// Drop erased rule slots once they outnumber the live ones, renumbering
+  /// positions in order (first-wins on duplicate ids is kept).
+  void compact_rules();
 
   TupleMergeConfig cfg_;
   std::vector<Rule> rules_;                // rule bodies (not counted as index)

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "classbench/generator.hpp"
+#include "common/rng.hpp"
 #include "oracle_check.hpp"
 #include "tuplemerge/tuplemerge.hpp"
 
@@ -134,6 +135,87 @@ TEST(TupleMerge, EraseOfTableBestKeepsFloorSearchExact) {
     }
     expect_floor_consistency(tm, rules, 60 + i);
   }
+}
+
+// Equal priorities must resolve to the smaller rule id, as types.hpp promises
+// and LinearSearch does: 64 rules share each priority here, so a probe that
+// stops at the first table or bucket entry that only TIES the running best
+// (instead of one that cannot beat it) returns the wrong twin. Checked after
+// build, after inserts (which land in table overflow regions) and after
+// erases, for plain and floored lookups.
+TEST(TupleMerge, EqualPrioritiesResolveBySmallerId) {
+  RuleSet rules = generate_classbench(AppClass::kAcl, 1, 5000, 61);
+  for (Rule& r : rules) r.priority = static_cast<int32_t>(r.id / 64);
+  // Built from the first 4000; the last 1000 arrive as inserts.
+  const RuleSet first(rules.begin(), rules.begin() + 4000);
+  TupleMerge tm;
+  tm.build(first);
+  LinearSearch oracle;
+  oracle.build(first);
+  TraceConfig tc;
+  tc.n_packets = 3000;
+  tc.seed = 62;
+  const auto trace = generate_trace(rules, tc);
+  const auto check = [&](const char* stage) {
+    for (const Packet& p : trace) {
+      const MatchResult want = oracle.match(p);
+      ASSERT_EQ(tm.match(p).rule_id, want.rule_id) << stage << ": " << to_string(p);
+      if (!want.hit()) continue;
+      for (const int32_t floor : {want.priority, want.priority + 1, want.priority + 64}) {
+        ASSERT_EQ(tm.match_with_floor(p, floor).rule_id,
+                  oracle.match_with_floor(p, floor).rule_id)
+            << stage << ", floor " << floor << ": " << to_string(p);
+      }
+    }
+  };
+  check("build");
+  for (size_t i = 4000; i < rules.size(); ++i) {
+    ASSERT_TRUE(tm.insert(rules[i]));
+    ASSERT_TRUE(oracle.insert(rules[i]));
+  }
+  check("insert");
+  // Enough erases that dead rule slots outnumber live ones, so the rule
+  // array is compacted and later erases go through renumbered positions.
+  Rng rng{63};
+  for (int i = 0; i < 6000; ++i) {
+    const auto victim = static_cast<uint32_t>(rng.below(rules.size()));
+    ASSERT_EQ(tm.erase(victim), oracle.erase(victim));
+  }
+  ASSERT_LT(tm.size(), rules.size() / 2);
+  check("erase");
+  EXPECT_EQ(tm.size(), oracle.size());
+}
+
+// A snapshot answers exactly like its source, ties included, after inserts
+// (overflow regions merged into buckets), erases (tombstones dropped), and
+// table splits and rehashes. Each round's snapshot reuses the previous
+// one's untouched pages, so a page that missed an update would show here.
+TEST(TupleMerge, SnapshotMatchesSourceThroughChurn) {
+  RuleSet rules = generate_classbench(AppClass::kFw, 1, 3000, 64);
+  for (Rule& r : rules) r.priority = static_cast<int32_t>(r.id / 8);
+  TupleMerge tm;
+  tm.build({rules.data(), 1000});
+  TraceConfig tc;
+  tc.n_packets = 2000;
+  tc.seed = 66;
+  const auto trace = generate_trace(rules, tc);
+  Rng rng{65};
+  TupleMergeSnapshot snap = tm.snapshot();
+  for (int round = 0; round < 8; ++round) {
+    for (size_t i = 1000 + static_cast<size_t>(round) * 250; i < 1250 + static_cast<size_t>(round) * 250; ++i)
+      ASSERT_TRUE(tm.insert(rules[i]));
+    for (int i = 0; i < 150; ++i) tm.erase(static_cast<uint32_t>(rng.below(rules.size())));
+    snap = tm.snapshot(&snap);
+    ASSERT_EQ(snap.size(), tm.size());
+    for (const Packet& p : trace) {
+      const MatchResult want = tm.match(p);
+      ASSERT_EQ(snap.match(p).rule_id, want.rule_id) << "round " << round << ": " << to_string(p);
+      if (want.hit())
+        ASSERT_EQ(snap.match_with_floor(p, want.priority).rule_id,
+                  tm.match_with_floor(p, want.priority).rule_id);
+    }
+  }
+  EXPECT_EQ(tm.live_rules().size(), tm.size());
 }
 
 TEST(TupleMerge, SupportsUpdatesFlag) {

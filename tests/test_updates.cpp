@@ -7,8 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "common/rng.hpp"
 #include "nuevomatch/nuevomatch.hpp"
 #include "nuevomatch/online.hpp"
+#include "rqrmi/kernel.hpp"
 #include "serialize/serialize.hpp"
 #include "trace/trace.hpp"
 #include "trace/verification.hpp"
@@ -598,6 +601,131 @@ TEST(OnlineUpdates, SerializeRoundTripWithPendingRemainderRules) {
   tc.seed = 31;
   for (const Packet& p : generate_trace(rules, tc))
     ASSERT_EQ(back->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+}
+
+// The churn delta in the shape it takes under a controller: thousands of
+// inserts whose priorities interleave with the base (base rule i at 2i, a new
+// rule at 2r-1 for a random r, so it beats some base matches and loses to
+// others), equal-priority pairs inside the delta (a new rule reusing the
+// previous one's priority, sometimes its body too, with smaller and larger
+// ids), and erases of delta, iSet and base-remainder rules. Every checkpoint
+// compares scalar match, match_batch and Pin::remainder_match with
+// LinearSearch over the logical rule-set, then again across a retrain swap
+// and a with_stable_view serialize round-trip. CMakeLists.txt re-runs this
+// suite with NM_SIMD_MAX capped to sse and to serial.
+TEST(ChurnDelta, InterleavedDeltaMatchesLinearSearch) {
+  SCOPED_TRACE("dispatch " + rqrmi::to_string(rqrmi::dispatch_ceiling()));
+  RuleSet base = generate_classbench(AppClass::kAcl, 1, 3000, 71);
+  for (Rule& r : base) r.priority = 2 * static_cast<int32_t>(r.id);
+  OnlineNuevoMatch nm{make_online_cfg(/*threshold=*/1.0, /*auto_retrain=*/false)};
+  nm.build(base);
+
+  std::map<uint32_t, Rule> live;  // the logical rule-set by id
+  for (const Rule& r : base) live.emplace(r.id, r);
+  std::set<uint32_t> remainder_ids;  // what remainder_match serves: base remainder + delta
+  const auto reset_remainder_ids = [&] {
+    remainder_ids.clear();
+    for (const Rule& r : nm.pin().nm().remainder_rules()) remainder_ids.insert(r.id);
+  };
+  reset_remainder_ids();
+
+  const auto check = [&](const Classifier& cls, const char* stage, uint64_t seed) {
+    std::vector<Rule> all;
+    std::vector<Rule> rem;
+    for (const auto& [id, r] : live) {
+      all.push_back(r);
+      if (remainder_ids.contains(id)) rem.push_back(r);
+    }
+    LinearSearch oracle;
+    oracle.build(all);
+    LinearSearch rem_oracle;
+    rem_oracle.build(rem);
+    TraceConfig tc;
+    tc.n_packets = 2500;
+    tc.seed = seed;
+    const auto trace = generate_trace(all, tc);
+    std::vector<MatchResult> batch(trace.size());
+    nm.match_batch(trace, batch);
+    const auto pin = nm.pin();
+    std::vector<MatchResult> pinned(trace.size());
+    pin.match_batch(trace, pinned);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      const Packet& p = trace[i];
+      const int32_t want = oracle.match(p).rule_id;
+      ASSERT_EQ(cls.match(p).rule_id, want) << stage << " scalar " << to_string(p);
+      ASSERT_EQ(batch[i].rule_id, want) << stage << " batch " << to_string(p);
+      ASSERT_EQ(pinned[i].rule_id, want) << stage << " pinned batch " << to_string(p);
+      ASSERT_EQ(pin.remainder_match(p).rule_id, rem_oracle.match(p).rule_id)
+          << stage << " remainder " << to_string(p);
+    }
+  };
+
+  Rng rng{72};
+  uint32_t next_down = 2'000'000;  // ids below the previous one...
+  uint32_t next_up = 3'000'000;    // ...and above it, for both tie outcomes
+  std::vector<uint32_t> delta;     // live delta ids, oldest first
+  size_t ties = 0;
+  const auto burst = [&](size_t n_inserts, size_t n_erases, bool erase_base) {
+    std::vector<Rule> ins;
+    for (size_t i = 0; i < n_inserts; ++i) {
+      Rule r = base[rng.below(base.size())];
+      r.priority = 2 * static_cast<int32_t>(rng.below(base.size())) - 1;
+      if (!ins.empty() && rng.below(8) == 0) {  // tie with the previous insert
+        r.priority = ins.back().priority;
+        if (rng.below(2) == 0) r.field = ins.back().field;
+        ++ties;
+      }
+      r.id = rng.below(2) == 0 ? next_down-- : next_up++;
+      ins.push_back(r);
+    }
+    ASSERT_EQ(nm.insert_batch(ins), ins.size());
+    for (const Rule& r : ins) {
+      live.emplace(r.id, r);
+      remainder_ids.insert(r.id);
+      delta.push_back(r.id);
+    }
+    std::vector<uint32_t> del;
+    for (size_t i = 0; i < n_erases && !delta.empty(); ++i) {
+      const size_t k = rng.below(delta.size());
+      del.push_back(delta[k]);
+      delta[k] = delta.back();
+      delta.pop_back();
+    }
+    if (erase_base) {  // one iSet rule or one base-remainder rule
+      auto it = live.lower_bound(static_cast<uint32_t>(rng.below(base.size())));
+      if (it != live.end() && it->first < base.size()) del.push_back(it->first);
+    }
+    ASSERT_EQ(nm.erase_batch(del), del.size());
+    for (const uint32_t id : del) live.erase(id);
+  };
+
+  for (int b = 0; b < 160; ++b) {
+    burst(/*n_inserts=*/16, /*n_erases=*/4, /*erase_base=*/b % 16 == 0);
+    if (b == 20 || b == 159) check(nm, b == 20 ? "early delta" : "full delta", 73 + b);
+  }
+  ASSERT_GT(ties, 100u);
+  ASSERT_GT(nm.health().churn_rules, 1500u) << "the delta must be big enough to index";
+
+  // Retrain swap: the delta folds into the fresh generation.
+  const uint64_t gen0 = nm.generations();
+  nm.retrain_now();
+  nm.quiesce();
+  ASSERT_GT(nm.generations(), gen0);
+  EXPECT_EQ(nm.health().churn_rules, 0u);
+  reset_remainder_ids();
+  delta.clear();
+  check(nm, "after swap", 74);
+  for (int b = 0; b < 40; ++b) burst(16, 4, b % 8 == 0);
+  check(nm, "delta after swap", 75);
+
+  // The stable view folds the delta into the remainder rule-set; the
+  // checkpoint round-trips it, and the loaded engine answers the same.
+  nm.with_stable_view([&](const NuevoMatch& view) { check(view, "stable view", 76); });
+  auto back = serialize::load_online(serialize::save_online(nm),
+                                     make_online_cfg(1.0, /*auto_retrain=*/false));
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->size(), nm.size());
+  check(*back, "loaded checkpoint", 77);
 }
 
 }  // namespace
