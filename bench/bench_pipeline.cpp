@@ -45,6 +45,29 @@ struct RunResult {
   uint64_t future = 0;    ///< hits on entries fresher than the probe's view
 };
 
+/// The measured graph, src -> FlowCache(cache_capacity) -> Classifier ->
+/// sink, classifying through the shared `online` engine. Capacity 0 leaves
+/// the cache element out.
+pipeline::Graph build_graph(const std::shared_ptr<OnlineNuevoMatch>& online,
+                            const std::vector<Packet>& trace, size_t cache_capacity) {
+  pipeline::Graph g;
+  auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
+  auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
+  cls_owned->attach(online);
+  auto& cls = g.add(std::move(cls_owned), "cls");
+  auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
+  if (cache_capacity > 0) {
+    auto& cache = g.add(
+        std::make_unique<pipeline::FlowCacheElement>(cache_capacity), "cache");
+    g.connect(src, 0, cache);
+    g.connect(cache, 0, cls);
+  } else {
+    g.connect(src, 0, cls);
+  }
+  g.connect(cls, 0, sink);
+  return g;
+}
+
 /// Build the graph, pump the trace `reps + 1` times (first pass warms the
 /// model caches AND the flow cache). Steady state reports the best measured
 /// pass (standard bench methodology); during churn it reports the MEAN over
@@ -55,22 +78,9 @@ struct RunResult {
 RunResult run_pipeline(const std::shared_ptr<OnlineNuevoMatch>& online,
                        const std::vector<Packet>& trace, size_t cache_capacity,
                        int reps, bool mean_of_passes) {
-  pipeline::Graph g;
-  auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
-  pipeline::FlowCacheElement* cache = nullptr;
-  auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
-  cls_owned->attach(online);
-  auto& cls = g.add(std::move(cls_owned), "cls");
-  auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
-  if (cache_capacity > 0) {
-    cache = &g.add(std::make_unique<pipeline::FlowCacheElement>(cache_capacity),
-                   "cache");
-    g.connect(src, 0, *cache);
-    g.connect(*cache, 0, cls);
-  } else {
-    g.connect(src, 0, cls);
-  }
-  g.connect(cls, 0, sink);
+  pipeline::Graph g = build_graph(online, trace, cache_capacity);
+  auto& src = *g.find_kind<pipeline::TraceSource>();
+  const auto* cache = g.find_kind<pipeline::FlowCacheElement>();
 
   RunResult out;
   double best_ns = 1e300;
@@ -126,19 +136,7 @@ double run_replicated(const std::shared_ptr<OnlineNuevoMatch>& online,
   for (int pass = 0; pass <= reps; ++pass) {
     pipeline::ReplicatedGraph rg{
         static_cast<uint32_t>(threads), [&](uint32_t, uint32_t) {
-          pipeline::Graph g;
-          auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
-          auto& cache = g.add(
-              std::make_unique<pipeline::FlowCacheElement>(cache_capacity),
-              "cache");
-          auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
-          cls_owned->attach(online);
-          auto& cls = g.add(std::move(cls_owned), "cls");
-          auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
-          g.connect(src, 0, cache);
-          g.connect(cache, 0, cls);
-          g.connect(cls, 0, sink);
-          return g;
+          return build_graph(online, trace, cache_capacity);
         }};
     pipeline::ReplicatedRunOptions ropts;
     ropts.threads = threads;
@@ -184,19 +182,7 @@ FaultResult run_fault_recovery(const std::shared_ptr<OnlineNuevoMatch>& online,
                      failpoint::Trigger::nth(crash_fire));
     pipeline::ReplicatedGraph rg{
         static_cast<uint32_t>(threads), [&](uint32_t, uint32_t) {
-          pipeline::Graph g;
-          auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
-          auto& cache = g.add(
-              std::make_unique<pipeline::FlowCacheElement>(cache_capacity),
-              "cache");
-          auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
-          cls_owned->attach(online);
-          auto& cls = g.add(std::move(cls_owned), "cls");
-          auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
-          g.connect(src, 0, cache);
-          g.connect(cache, 0, cls);
-          g.connect(cls, 0, sink);
-          return g;
+          return build_graph(online, trace, cache_capacity);
         }};
     pipeline::ReplicatedRunOptions ropts;
     ropts.threads = threads;

@@ -378,8 +378,8 @@ int main() {
   // only split the same CPU, so a saturated scaling row would measure the
   // scheduler, not the engine.)
   std::printf("\n-- (d) multi-writer offered-load absorption + saturated parallel readers --\n");
-  std::printf("%-8s %-7s | %12s %10s %12s %7s %6s\n", "writers", "shards",
-              "updates/s", "vs 1w", "lookups", "swaps", "mism");
+  std::printf("%-8s | %12s %10s %12s %7s %6s\n", "writers", "updates/s",
+              "vs 1w", "lookups", "swaps", "mism");
   const RuleSet mw_base = generate_classbench(
       AppClass::kAcl, 1, std::min<size_t>(s.large_n, 30'000), 61);
   const StableCore mw_core = make_stable_core(mw_base, s.trace_len / 2, 62);
@@ -390,7 +390,6 @@ int main() {
     mcfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
     mcfg.base.min_iset_coverage = 0.05;
     mcfg.retrain_threshold = 0.05;
-    mcfg.update_shards = writers;
     OnlineNuevoMatch mw{mcfg};
     mw.build(mw_base);
     const uint64_t g0 = mw.generations();
@@ -474,8 +473,7 @@ int main() {
     if (writers == 1) upd_1w = upd_rate;
     const uint64_t mw_swaps = mw.generations() - g0;
     mw_bad_total += mw_bad.load();
-    std::printf("%-8d %-7d | %12.0f %9.2fx %12llu %7llu %6llu\n", writers,
-                mw.update_shards(), upd_rate,
+    std::printf("%-8d | %12.0f %9.2fx %12llu %7llu %6llu\n", writers, upd_rate,
                 upd_1w > 0.0 ? upd_rate / upd_1w : 1.0,
                 static_cast<unsigned long long>(mw_lookups.load()),
                 static_cast<unsigned long long>(mw_swaps),
@@ -484,7 +482,6 @@ int main() {
     j.row()
         .set("section", "multi_writer")
         .set("writers", static_cast<size_t>(writers))
-        .set("shards", static_cast<size_t>(mw.update_shards()))
         .set("rules", mw_base.size())
         .set("updates_per_sec", upd_rate)
         .set("scaling_vs_1w", upd_1w > 0.0 ? upd_rate / upd_1w : 1.0)

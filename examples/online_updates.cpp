@@ -77,12 +77,10 @@ int main(int argc, char** argv) {
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 0.08;  // retrain when 8% of rules have migrated
-  cfg.update_shards = 4;         // multi-writer update path (one here, but
-                                 // the journal/swap machinery is identical)
   OnlineNuevoMatch nm{cfg};
   nm.build(rules);
-  std::printf("built: %zu rules, generation %llu, %d update shards\n", nm.size(),
-              static_cast<unsigned long long>(nm.generations()), nm.update_shards());
+  std::printf("built: %zu rules, generation %llu\n", nm.size(),
+              static_cast<unsigned long long>(nm.generations()));
 
   // The multi-core serving path: per-batch generation pinning means this
   // engine keeps answering at full speed across every swap below.

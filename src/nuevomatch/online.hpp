@@ -12,11 +12,11 @@
 //     retrains a fresh NuevoMatch on a snapshot of the rule-set (reusing
 //     trained models for iSets whose rule arrays are unchanged) and
 //     atomically swaps it in without stalling match()/match_batch();
-//   * updates that arrive while a retrain is running are journaled and
-//     replayed onto the fresh generation just before the swap, so no update
-//     is ever lost to the race between snapshot and publication;
-//   * the journal is sharded by rule-id hash (`update_shards`) with
-//     per-shard atomic op counters (serializer v3 telemetry).
+//   * updates that arrive while a retrain is running are appended to one
+//     journal and replayed, in append order, onto the fresh generation just
+//     before the swap, so no update is ever lost to the race between
+//     snapshot and publication; one atomic counter tallies applied updates
+//     (serializer v3 telemetry).
 //
 // Concurrency model (see DESIGN.md "Update path" for the full rationale).
 // The read path is WAIT-FREE between swaps — no lock, no shared_ptr
@@ -41,14 +41,12 @@
 //     once every reader epoch has advanced past the commit;
 //   * writers serialize on one writer-only mutex (the generation lock of
 //     PR 3, now never touched by the data path). A batch commit takes it
-//     once, allocates its global op-sequence range with one atomic
-//     fetch_add, fans journal entries out to the id-hashed shards (plain
-//     vectors — the writer lock already serializes writers, so the
-//     per-shard mutexes of PR 3 are gone), and performs ONE copy-on-write
-//     publication for the whole burst;
+//     once, appends its accepted ops to the journal (a plain vector: the
+//     writer lock orders appends, so append order IS apply order), and
+//     performs ONE copy-on-write publication for the whole burst;
 //   * the retrain worker snapshots the logical rule-set under the writer
 //     lock (one composition pass), trains with no locks held, then
-//     reacquires the writer lock, replays the journals, and publishes the
+//     reacquires the writer lock, replays the journal, and publishes the
 //     fresh generation the same way — readers migrate at their next epoch
 //     enter, and the superseded generation is reclaimed once the last
 //     straggler exits.
@@ -92,7 +90,7 @@ enum class OverloadPolicy : uint8_t {
   kShed,
   /// Block the writer (lock-free readers are unaffected) until a commit
   /// frees capacity — a swap resets the delta, an erase shrinks it, a
-  /// journal drain empties the shards — or `overload_block_timeout_ms`
+  /// journal drain empties the journal — or `overload_block_timeout_ms`
   /// elapses, after which the remaining ops are shed as above. Under this
   /// policy one insert_batch() may commit in several slices as capacity
   /// frees up, so burst-atomic visibility is NOT guaranteed when the cap
@@ -120,13 +118,6 @@ struct OnlineConfig {
   /// schedules retrains itself via retrain_now() (e.g. off-peak).
   bool auto_retrain = true;
 
-  /// Journal/telemetry shards: journal entries hash by rule-id onto
-  /// `update_shards` journal+counter slots (serializer v3 round-trips the
-  /// per-shard counters). Writers serialize on the writer lock regardless —
-  /// the shards exist for deterministic replay bookkeeping and checkpoint
-  /// compatibility, not writer-side locking. Clamped to [1, 256].
-  int update_shards = 4;
-
   // --- fault tolerance (DESIGN.md "Failure model") -------------------------
   /// Consecutive retrain failures after which the engine enters *degraded*
   /// mode: it keeps serving the old generation + churn delta correctly, but
@@ -146,8 +137,8 @@ struct OnlineConfig {
   /// Cap on the churn delta (update-layer insert count). 0 = unbounded
   /// (the pre-PR-6 behavior). Erases always pass — they shrink state.
   size_t max_churn_rules = 0;
-  /// Cap on journal depth (ops queued across all shards while a retrain is
-  /// in flight). 0 = unbounded. Only inserts are capped, as above.
+  /// Cap on journal depth (ops queued while a retrain is in flight).
+  /// 0 = unbounded. Only inserts are capped, as above.
   size_t max_journal_ops = 0;
   /// What a writer does when an insert hits either cap.
   OverloadPolicy overload_policy = OverloadPolicy::kShed;
@@ -216,13 +207,10 @@ class OnlineNuevoMatch final : public Classifier {
   void build(std::span<const Rule> rules) override;
 
   /// Install an already-built classifier as the live generation without
-  /// retraining (the serializer's load path). Same caveats as build().
-  void adopt(NuevoMatch nm);
-  /// Serializer v3 load path: adopt + reinstate the per-shard update
-  /// counters captured at save time. A checkpoint taken with a different
-  /// shard count redistributes evenly — the total is the contract, the
-  /// split is telemetry.
-  void adopt(NuevoMatch nm, std::span<const uint64_t> shard_ops);
+  /// retraining (the serializer's load path), with the applied-update
+  /// counter set to `update_ops` (the count a checkpoint captured; 0 for a
+  /// fresh install). Same caveats as build().
+  void adopt(NuevoMatch nm, uint64_t update_ops = 0);
 
   // --- data path (wait-free; safe from any number of threads) -------------
   [[nodiscard]] MatchResult match(const Packet& p) const override;
@@ -291,9 +279,9 @@ class OnlineNuevoMatch final : public Classifier {
   [[nodiscard]] bool supports_updates() const override { return true; }
   bool insert(const Rule& r) override;
   bool erase(uint32_t rule_id) override;
-  /// Batched writer commits: one writer-lock acquisition, one op-sequence
-  /// range, ONE copy-on-write publication for the whole burst — the
-  /// amortization that makes bulk controller pushes cheap. Returns the
+  /// Batched writer commits: one writer-lock acquisition and ONE
+  /// copy-on-write publication for the whole burst — the amortization that
+  /// makes bulk controller pushes cheap. Returns the
   /// number of accepted ops (duplicates / unknown ids are skipped, exactly
   /// like their scalar counterparts). Visibility is batch-atomic for
   /// lookups that pin after the commit.
@@ -411,17 +399,12 @@ class OnlineNuevoMatch final : public Classifier {
     return band_marks_[static_cast<size_t>(band)].load(std::memory_order_acquire);
   }
 
-  // --- shard introspection -------------------------------------------------
-  [[nodiscard]] int update_shards() const noexcept {
-    return static_cast<int>(shards_.size());
+  /// Applied updates since the last build()/adopt() (telemetry; serialized
+  /// by save_online so churn accounting survives a checkpoint — build()
+  /// resets it to zero, adopt() sets it to its `update_ops`). Lock-free.
+  [[nodiscard]] uint64_t update_ops() const noexcept {
+    return update_ops_.load(std::memory_order_relaxed);
   }
-  /// Applied updates routed through each shard since the last build()/
-  /// adopt() (telemetry; serialized by save_online so churn accounting
-  /// survives a checkpoint — build() and plain adopt() reset to zero, the
-  /// checkpoint-loading adopt() reinstates the saved counts). Lock-free.
-  [[nodiscard]] std::vector<uint64_t> shard_op_counts() const;
-  /// Total applied updates across all shards.
-  [[nodiscard]] uint64_t update_ops() const;
 
   // --- Classifier plumbing ------------------------------------------------
   [[nodiscard]] size_t memory_bytes() const override;
@@ -474,17 +457,8 @@ class OnlineNuevoMatch final : public Classifier {
   struct Op {
     enum class Kind : uint8_t { kInsert, kErase };
     Kind kind;
-    Rule rule;     // kInsert payload
-    uint32_t id;   // kErase payload
-    uint64_t seq;  // global apply order (assigned under the writer lock)
-  };
-
-  /// One journal/telemetry shard. The journal vector is guarded by the
-  /// writer lock; the op counter is atomic so shard_op_counts() (and the
-  /// serializer) never block behind a writer.
-  struct Shard {
-    std::vector<Op> journal;
-    std::atomic<uint64_t> ops{0};
+    Rule rule;    // kInsert payload
+    uint32_t id;  // kErase payload
   };
 
   /// Where a live rule-id currently resides (writer-side routing state).
@@ -496,13 +470,6 @@ class OnlineNuevoMatch final : public Classifier {
     Loc loc;
     int32_t priority;
   };
-
-  [[nodiscard]] Shard& shard_for(uint32_t rule_id) const {
-    // Fibonacci multiplicative hash: controller-assigned sequential ids
-    // spread across shards instead of marching through them in lockstep.
-    const uint64_t h = (static_cast<uint64_t>(rule_id) * 0x9E3779B97F4A7C15ull) >> 32;
-    return *shards_[h % shards_.size()];
-  }
 
   // Writer-side commit machinery; all *_locked functions require wmu_.
   bool insert_locked(const Rule& r, bool& churn_dirty);
@@ -519,9 +486,7 @@ class OnlineNuevoMatch final : public Classifier {
   [[nodiscard]] std::vector<Rule> compose_rules_locked() const;
   /// The churn delta's live rules, sorted by (priority, id).
   [[nodiscard]] std::vector<Rule> churn_rules_locked() const;
-  void install_generation_locked(std::shared_ptr<Generation> fresh,
-                                 const std::vector<uint64_t>* shard_ops,
-                                 bool reset_counters);
+  void install_generation_locked(std::shared_ptr<Generation> fresh);
 
   /// How a retrain cycle ended. kFailed feeds the retry/backoff/degraded
   /// machinery; kCancelled (a concurrent build()/adopt() superseded the
@@ -535,11 +500,10 @@ class OnlineNuevoMatch final : public Classifier {
   /// install already closed the journal (the cycle was moot, not broken).
   [[nodiscard]] CycleOutcome abandon_cycle(const char* what);
   /// build()/adopt(): cancel pending retrains, install `fresh` as the live
-  /// generation and reset the whole update path (journals, layer, counters —
-  /// per-shard op counters set to `shard_ops` or zeroed when null; failure/
-  /// backoff state cleared — a fresh install is a clean slate).
-  void publish_fresh(std::shared_ptr<Generation> fresh,
-                     const std::vector<uint64_t>* shard_ops = nullptr);
+  /// generation and reset the whole update path (journal, layer, counters —
+  /// the op counter set to `update_ops`; failure/backoff state cleared — a
+  /// fresh install is a clean slate).
+  void publish_fresh(std::shared_ptr<Generation> fresh, uint64_t update_ops = 0);
   void request_retrain(bool forced);
 
   /// How many more inserts overload control admits right now (SIZE_MAX when
@@ -588,15 +552,18 @@ class OnlineNuevoMatch final : public Classifier {
   size_t built_size_ = 0;   // rules the live index was trained on
   size_t migrated_ = 0;     // inserts absorbed since the last swap
   bool journal_open_ = false;
-  std::atomic<uint64_t> op_seq_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Updates that raced the running retrain, in apply order (appended
+  /// under wmu_, so append order is the order they hit the live view).
+  std::vector<Op> journal_;
+  /// Applied updates since the last install (see update_ops()).
+  std::atomic<uint64_t> update_ops_{0};
 
   // --- fault/overload telemetry (atomics: health() reads them lock-free) --
   std::atomic<bool> degraded_{false};
   std::atomic<uint64_t> retrain_failures_{0};        // consecutive
   std::atomic<uint64_t> retrain_failures_total_{0};  // lifetime
   std::atomic<uint64_t> shed_ops_{0};
-  /// Mirrors the shard journals' total size (maintained under wmu_, read by
+  /// Mirrors journal_.size() (maintained under wmu_, read by
   /// approx_room()/health() without it).
   std::atomic<size_t> journal_depth_{0};
   /// Mirrors the published churn delta's size, same discipline.

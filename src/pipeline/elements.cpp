@@ -217,7 +217,6 @@ ClassifierElement::ClassifierElement(const std::string& rules_path, Options opts
   cfg.base.min_iset_coverage = 0.05;  // §5.1 floor vs TupleMerge-class engines
   cfg.retrain_threshold = opts.retrain_threshold;
   cfg.auto_retrain = opts.auto_retrain;
-  cfg.update_shards = opts.update_shards;
   auto engine = std::make_shared<OnlineNuevoMatch>(std::move(cfg));
   engine->build(rules);
   attach(std::move(engine));
@@ -556,7 +555,7 @@ std::unique_ptr<Element> make_flow_cache(const std::vector<std::string>& a) {
 
 std::unique_ptr<Element> make_classifier(const std::vector<std::string>& a) {
   if (a.empty())
-    usage("Classifier(rules.file[, parallel][, manual][, threshold=X][, shards=N])");
+    usage("Classifier(rules.file[, parallel][, manual][, threshold=X])");
   ClassifierElement::Options opts;
   for (size_t i = 1; i < a.size(); ++i) {
     const std::string& arg = a[i];
@@ -566,11 +565,8 @@ std::unique_ptr<Element> make_classifier(const std::vector<std::string>& a) {
       opts.auto_retrain = false;
     } else if (arg.rfind("threshold=", 0) == 0) {
       opts.retrain_threshold = to_double(arg.substr(10), "retrain threshold");
-    } else if (arg.rfind("shards=", 0) == 0) {
-      opts.update_shards =
-          static_cast<int>(to_size(arg.substr(7), "update shards"));
     } else {
-      usage("unknown Classifier option (want parallel, manual, threshold=, shards=)");
+      usage("unknown Classifier option (want parallel, manual, threshold=)");
     }
   }
   // Replica parse in progress: options were validated above, but the engine

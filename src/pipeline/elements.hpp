@@ -4,7 +4,7 @@
 //   TraceSource(rules.file, n[, kind])    synthetic trace over a rule file;
 //                                         kind: uniform | zipf[:alpha] | caida
 //   FlowCache(capacity[, shards])         update-coherent exact-match cache
-//   Classifier(rules.file[, parallel][, manual][, threshold=X][, shards=N])
+//   Classifier(rules.file[, parallel][, manual][, threshold=X])
 //                                         OnlineNuevoMatch slow path (32-pkt
 //                                         match_batch bursts). Options:
 //                                         `parallel` routes through
@@ -12,8 +12,7 @@
 //                                         disables auto-retrain (swaps only
 //                                         via retrain_now()); `threshold=X`
 //                                         sets the absorption retrain
-//                                         threshold; `shards=N` the journal
-//                                         shard count
+//                                         threshold
 //   Dispatch(name0, name1, ...)           route on the matched rule's action
 //                                         (action i -> port i; miss or
 //                                         out-of-range -> last port)
@@ -124,7 +123,6 @@ class ClassifierElement final : public Element {
     bool parallel = false;        ///< two-core BatchParallelEngine path
     double retrain_threshold = 0.05;
     bool auto_retrain = true;
-    int update_shards = 4;
   };
 
   /// Empty shell: attach an engine before Graph::initialize().

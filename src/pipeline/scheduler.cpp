@@ -107,11 +107,6 @@ Scheduler::FailureAction Scheduler::supervise_failure(Task& t) {
         const std::lock_guard<std::mutex> lk(sup_mu_);
         ++restarts_total_;
       }
-      if (NM_METRICS_ENABLED) {
-        static telemetry::Counter& m = telemetry::registry().counter(
-            "nm_sched_restarts_total", "task restart re-arms");
-        m.add(1);
-      }
       // PR 6's engine backoff shape, reused verbatim: delay doubles per
       // consecutive failure (clamped), then jitters deterministically to
       // [d/2, d] so co-failing tasks desynchronize reproducibly.
@@ -135,11 +130,6 @@ Scheduler::FailureAction Scheduler::supervise_failure(Task& t) {
     ++quarantines_total_;
     t.phase_.store(static_cast<uint8_t>(TaskPhase::kQuarantined),
                    std::memory_order_release);
-  }
-  if (NM_METRICS_ENABLED) {
-    static telemetry::Counter& m = telemetry::registry().counter(
-        "nm_sched_quarantines_total", "task quarantine entries");
-    m.add(1);
   }
   if (on_quarantine_) {
     try {

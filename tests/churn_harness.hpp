@@ -131,12 +131,11 @@ struct ChurnConfig {
   uint32_t backoff_initial_ms = 4;
   uint32_t backoff_max_ms = 64;
 
-  int update_shards = 4;
   double retrain_threshold = 0.02;
   bool auto_retrain = true;
   /// run() keeps forcing (background) retrains until at least this many
   /// generation swaps have been published, so every configuration exercises
-  /// the snapshot → journal → merge → swap cycle even with auto-retrain off.
+  /// the snapshot → journal → replay → swap cycle even with auto-retrain off.
   uint64_t min_swaps = 3;
   /// Remainder engine behind the online classifier: TupleMerge (default) or
   /// CutSplit — the two §3.9 remainder backends, with very different
@@ -145,9 +144,9 @@ struct ChurnConfig {
 };
 
 /// Fuzzer mode (ROADMAP "Churn harness as a fuzzer"): one seeded draw of the
-/// whole knob space — rule-set shape, writer/reader mix, shard count,
-/// retrain policy, remainder engine. A long-running loop over successive
-/// draws (tests/test_churn.cpp, ChurnFuzzer; iterations via
+/// whole knob space — rule-set shape, writer/reader mix, retrain policy,
+/// remainder engine. A long-running loop over successive draws
+/// (tests/test_churn.cpp, ChurnFuzzer; iterations via
 /// NM_CHURN_FUZZ_ITERS, base seed via NM_CHURN_FUZZ_SEED) turns the harness
 /// into an overnight concurrency fuzzer; the TSAN CI leg runs a short smoke
 /// slice of the same loop on every PR.
@@ -167,7 +166,6 @@ struct ChurnConfig {
   c.erases_per_writer_step = static_cast<int>(rng.between(4, 24));
   c.core_trace_len = 1200 + rng.below(1500);
   c.probes_per_step = 120 + rng.below(150);
-  c.update_shards = static_cast<int>(rng.between(1, 8));
   constexpr double kThresholds[] = {0.005, 0.02, 0.1, 1.0};
   c.retrain_threshold = kThresholds[rng.below(4)];
   c.auto_retrain = rng.chance(0.5);
@@ -264,7 +262,6 @@ class ChurnHarness {
     ocfg.base.min_iset_coverage = 0.05;
     ocfg.retrain_threshold = cfg_.retrain_threshold;
     ocfg.auto_retrain = cfg_.auto_retrain;
-    ocfg.update_shards = cfg_.update_shards;
     ocfg.max_retrain_failures = cfg_.max_retrain_failures;
     ocfg.backoff_initial_ms = cfg_.backoff_initial_ms;
     ocfg.backoff_max_ms = cfg_.backoff_max_ms;

@@ -349,6 +349,36 @@ TEST(SerializeFailpoint, LoadFailpointFailsEveryLoader) {
   EXPECT_NE(load_online(online_bytes, online_cfg()), nullptr);
 }
 
+// Earlier v3 writers split the online frame's applied-op total across one
+// counter per journal shard: [NMOL][v3][u32 n][n x u64][classifier body]
+// [crc]. Such a checkpoint must still load, with the counters' sum as the
+// total and the body's decisions intact.
+TEST(OnlineSerialize, MultiCounterFrameLoadsWithTheirSum) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 47);
+  NuevoMatch nm{tm_config()};
+  nm.build(rules);
+  // save_classifier's frame minus its tag, version and CRC trailer is the
+  // bare classifier body.
+  const std::vector<uint8_t> cls = save_classifier(nm);
+  const auto body = std::span<const uint8_t>(cls).subspan(8, cls.size() - 12);
+
+  ByteWriter w;
+  w.put_tag("NMOL");
+  w.put_u32(kFormatVersion);
+  w.put_u32(3);
+  for (const uint64_t c : {17u, 0u, 25u}) w.put_u64(c);
+  w.put_bytes(body);
+  const auto online = load_online(std::move(w).finish(), online_cfg());
+  ASSERT_NE(online, nullptr);
+  EXPECT_EQ(online->update_ops(), 42u);
+
+  TraceConfig tc;
+  tc.n_packets = 3000;
+  tc.seed = 48;
+  for (const Packet& p : generate_trace(rules, tc))
+    ASSERT_EQ(online->match(p).rule_id, nm.match(p).rule_id);
+}
+
 TEST(Files, WriteReadRoundTrip) {
   const auto bytes = save_rules(generate_classbench(AppClass::kAcl, 1, 64, 15));
   const std::string path = ::testing::TempDir() + "/nm_serialize_test.bin";

@@ -332,13 +332,11 @@ TEST(OnlineUpdates, SerializeRoundTripAfterEraseThenReinsertSameId) {
   EXPECT_FALSE(back->erase(3));
 }
 
-TEST(OnlineUpdates, SerializeRoundTripCarriesShardOpCounters) {
-  // v3: the online frame is shard-aware — per-shard applied-op counters
-  // round-trip, and a checkpoint loaded into a different shard count keeps
-  // the aggregate (the id→shard map is recomputed from the hash anyway).
+TEST(OnlineUpdates, SerializeRoundTripCarriesUpdateOps) {
+  // v3: the online frame carries the applied-op counter, so churn
+  // accounting survives a checkpoint.
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 900, 51);
   OnlineConfig cfg = make_online_cfg(/*threshold=*/1.0);
-  cfg.update_shards = 4;
   OnlineNuevoMatch nm{cfg};
   nm.build(rules);
 
@@ -355,24 +353,135 @@ TEST(OnlineUpdates, SerializeRoundTripCarriesShardOpCounters) {
   const auto bytes = serialize::save_online(nm);
   auto back = serialize::load_online(bytes, cfg);
   ASSERT_NE(back, nullptr);
-  EXPECT_EQ(back->update_shards(), 4);
-  EXPECT_EQ(back->shard_op_counts(), nm.shard_op_counts())
-      << "same shard count must restore counters verbatim";
   EXPECT_EQ(back->update_ops(), 80u);
-
-  OnlineConfig resharded = make_online_cfg(/*threshold=*/1.0);
-  resharded.update_shards = 7;
-  auto re = serialize::load_online(bytes, resharded);
-  ASSERT_NE(re, nullptr);
-  EXPECT_EQ(re->update_shards(), 7);
-  EXPECT_EQ(re->update_ops(), 80u) << "resharding must preserve the total";
 
   // And the classifier behind the frame still answers identically.
   TraceConfig tc;
   tc.n_packets = 2000;
   tc.seed = 53;
   for (const Packet& p : generate_trace(rules, tc))
-    ASSERT_EQ(re->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+    ASSERT_EQ(back->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+}
+
+// Journal order across a retrain: updates that race a retrain reach the
+// fresh generation by replay, and replay must follow apply order. While
+// the journal is open, the same ids go through order-sensitive sequences —
+// erase-then-reinsert with a changed body (one iSet id, one base-remainder
+// id) and insert-then-erase of a fresh id — and a capped (kShed) insert
+// burst whose shed tail must never be journaled. Every rule involved
+// answers some stable-core packet, so replaying any of it out of order, or
+// replaying a shed op, changes an answer.
+TEST(OnlineUpdates, JournalReplayKeepsApplyOrderAcrossRetrain) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 3, 4000, 91);
+  OnlineConfig cfg = make_online_cfg(/*threshold=*/1.0, /*auto=*/false);
+  cfg.max_journal_ops = 16;  // overload_policy defaults to kShed
+  const StableCore core = make_stable_core(rules, 3000, 92);
+  ASSERT_GT(core.packets.size(), 100u);
+  const auto body_of = [&](size_t k) {
+    return rules[static_cast<size_t>(core.expected[k % core.expected.size()])];
+  };
+
+  // Whether all ops land in the journal depends on the retrain still
+  // training when they arrive; an attempt that misses the window still has
+  // to answer exactly, and the next attempt starts over on a fresh engine.
+  bool caught = false;
+  for (int attempt = 0; attempt < 10 && !caught; ++attempt) {
+    SCOPED_TRACE(::testing::Message() << "attempt " << attempt);
+    OnlineNuevoMatch nm{cfg};
+    nm.build(rules);
+    const uint64_t gen0 = nm.generations();
+    LinearSearch oracle;
+    oracle.build(rules);
+
+    // One core-answering id from each base residence.
+    std::set<int32_t> iset_ids;
+    std::set<int32_t> base_ids;
+    {
+      const auto pin = nm.pin();
+      for (const IsetIndex& is : pin.nm().isets())
+        for (const Rule& r : is.rules()) iset_ids.insert(static_cast<int32_t>(r.id));
+      for (const Rule& r : pin.nm().remainder_rules())
+        base_ids.insert(static_cast<int32_t>(r.id));
+    }
+    int32_t iset_id = -1;
+    int32_t base_id = -1;
+    for (const int32_t id : core.expected) {
+      if (iset_id < 0 && iset_ids.contains(id)) iset_id = id;
+      if (base_id < 0 && base_ids.contains(id)) base_id = id;
+    }
+    ASSERT_GE(iset_id, 0) << "no core packet answered by an iSet rule";
+    ASSERT_GE(base_id, 0) << "no core packet answered by a base-remainder rule";
+
+    uint64_t accepted = 0;
+    const auto insert = [&](const Rule& r) {
+      ASSERT_TRUE(nm.insert(r)) << "id " << r.id;
+      ASSERT_TRUE(oracle.insert(r));
+      ++accepted;
+    };
+    const auto erase = [&](uint32_t id) {
+      ASSERT_TRUE(nm.erase(id)) << "id " << id;
+      ASSERT_TRUE(oracle.erase(id));
+      ++accepted;
+    };
+
+    // Open the window: the journal fills only while a retrain is training.
+    nm.retrain_now();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (uint32_t k = 0; nm.retrain_in_progress() && nm.health().journal_depth == 0 &&
+                         std::chrono::steady_clock::now() < deadline;
+         ++k) {
+      Rule sentinel = body_of(k);
+      sentinel.id = 950'000 + k;
+      sentinel.priority = 3'000'000 + static_cast<int32_t>(k);  // never answers
+      insert(sentinel);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const size_t depth0 = nm.health().journal_depth;
+
+    Rule iset_changed = rules[static_cast<size_t>(iset_id)];
+    iset_changed.field[kDstPort] = full_range(kDstPort);
+    Rule base_changed = rules[static_cast<size_t>(base_id)];
+    base_changed.field[kDstPort] = full_range(kDstPort);
+    Rule fresh = body_of(0);
+    fresh.id = 960'000;
+    fresh.priority = -1000;  // beats every base rule on the packets it matches
+
+    erase(static_cast<uint32_t>(iset_id));
+    insert(fresh);
+    erase(static_cast<uint32_t>(base_id));
+    insert(iset_changed);
+    erase(fresh.id);
+    insert(base_changed);
+
+    // The cap admits a prefix; the shed tail holds the best priorities, so
+    // replaying any of it would change answers.
+    std::vector<Rule> burst;
+    for (uint32_t i = 0; i < 20; ++i) {
+      Rule r = body_of(7 * i + 1);
+      r.id = 970'000 + i;
+      r.priority = -2000 - static_cast<int32_t>(i);
+      burst.push_back(r);
+    }
+    const size_t admitted = nm.insert_batch(burst);
+    for (size_t i = 0; i < admitted; ++i) ASSERT_TRUE(oracle.insert(burst[i]));
+    accepted += admitted;
+
+    const EngineHealth h = nm.health();
+    caught = depth0 > 0 && admitted < burst.size() &&
+             h.journal_depth == depth0 + 6 + admitted && nm.retrain_in_progress();
+    EXPECT_EQ(h.shed_ops, burst.size() - admitted);
+    EXPECT_EQ(nm.update_ops(), accepted) << "a shed op was counted";
+
+    nm.quiesce();
+    EXPECT_GT(nm.generations(), gen0) << "the retrain never swapped";
+    EXPECT_EQ(nm.size(), oracle.size());
+    for (size_t i = 0; i < core.packets.size(); ++i) {
+      ASSERT_EQ(nm.match(core.packets[i]).rule_id, oracle.match(core.packets[i]).rule_id)
+          << "packet " << i << " after the swap";
+    }
+    EXPECT_EQ(nm.update_ops(), accepted);
+  }
+  EXPECT_TRUE(caught) << "no attempt held every op in one open journal";
 }
 
 // Regression for the reader-preference starvation bench_updates §(d)
