@@ -133,7 +133,6 @@ inline std::unique_ptr<NuevoMatch> make_nm(const std::string& baseline, const Sc
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [baseline, s]() { return make_baseline(baseline, s); };
   if (baseline == "tuplemerge" || baseline == "tss") {
-    cfg.min_iset_coverage = 0.05;
     cfg.max_isets = 4;
   } else {
     cfg.min_iset_coverage = 0.25;

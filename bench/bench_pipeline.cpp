@@ -228,7 +228,6 @@ int main() {
 
   OnlineConfig ocfg;
   ocfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  ocfg.base.min_iset_coverage = 0.05;
   ocfg.auto_retrain = false;  // churn section forces retrains explicitly
   auto online = std::make_shared<OnlineNuevoMatch>(ocfg);
   online->build(rules);

@@ -154,7 +154,6 @@ int main() {
                                            std::min<size_t>(s.large_n, 50'000), 41);
   OnlineConfig ocfg;
   ocfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  ocfg.base.min_iset_coverage = 0.05;
   ocfg.retrain_threshold = 0.08;
   OnlineNuevoMatch online{ocfg};
   online.build(base);
@@ -388,7 +387,6 @@ int main() {
   for (const int writers : {1, 2, 4}) {
     OnlineConfig mcfg;
     mcfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-    mcfg.base.min_iset_coverage = 0.05;
     mcfg.retrain_threshold = 0.05;
     OnlineNuevoMatch mw{mcfg};
     mw.build(mw_base);
@@ -499,7 +497,6 @@ int main() {
   for (const int n_readers : {0, 2, 4}) {
     OnlineConfig pcfg;
     pcfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-    pcfg.base.min_iset_coverage = 0.05;
     pcfg.retrain_threshold = 1.0;  // isolate the commit path from retrains
     pcfg.auto_retrain = false;
     OnlineNuevoMatch pr{pcfg};
@@ -574,7 +571,6 @@ int main() {
   {
     OnlineConfig pcfg;
     pcfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-    pcfg.base.min_iset_coverage = 0.05;
     pcfg.retrain_threshold = 1.0;
     pcfg.auto_retrain = false;
     auto pr = std::make_shared<OnlineNuevoMatch>(pcfg);

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
   std::printf("building NuevoMatch (TupleMerge remainder)...\n");
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   cfg.max_isets = 4;
   NuevoMatch nm{cfg};
   const auto b0 = std::chrono::steady_clock::now();

@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
 
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   cfg.max_isets = 4;
   NuevoMatch nm{cfg};
   nm.build(fib);

@@ -25,7 +25,6 @@ namespace {
 NuevoMatchConfig make_config() {
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   return cfg;
 }
 

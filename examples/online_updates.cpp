@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
 
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 0.08;  // retrain when 8% of rules have migrated
   OnlineNuevoMatch nm{cfg};
   nm.build(rules);

@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
   tss->build(rules);
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleSpaceSearch>(); };
-  cfg.min_iset_coverage = 0.05;
   auto nm = std::make_shared<NuevoMatch>(cfg);
   nm->build(rules);
   const std::string nm_name = nm->name();
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
   // served pre-update answers.
   OnlineConfig ocfg;
   ocfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  ocfg.base.min_iset_coverage = 0.05;
   ocfg.auto_retrain = false;
   auto online = std::make_shared<OnlineNuevoMatch>(ocfg);
   online->build(rules);

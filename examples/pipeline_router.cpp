@@ -165,7 +165,6 @@ int main(int argc, char** argv) {
   const RuleSet rules = parse_classbench(rin);
   NuevoMatchConfig ocfg;
   ocfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  ocfg.min_iset_coverage = 0.05;
   NuevoMatch oracle{ocfg};
   oracle.build(rules);
 

@@ -36,7 +36,6 @@ int main() {
   // backend via the factory. TupleMerge also gives O(1) rule updates.
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   NuevoMatch nm{cfg};
   nm.build(rules);
 

@@ -214,7 +214,6 @@ ClassifierElement::ClassifierElement(const std::string& rules_path, Options opts
   const RuleSet rules = load_rules_file(rules_path);
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;  // §5.1 floor vs TupleMerge-class engines
   cfg.retrain_threshold = opts.retrain_threshold;
   cfg.auto_retrain = opts.auto_retrain;
   auto engine = std::make_shared<OnlineNuevoMatch>(std::move(cfg));

@@ -7,16 +7,6 @@
 
 namespace nuevomatch {
 
-uint64_t hash_key(const std::array<uint32_t, kNumFields>& key) noexcept {
-  uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (uint32_t v : key) {
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h *= 0xBF58476D1CE4E5B9ull;
-    h ^= h >> 29;
-  }
-  return h;
-}
-
 namespace {
 
 /// Overflow is folded into the flat layout once it exceeds this fraction of
@@ -44,11 +34,15 @@ int field_bits(int f) noexcept {
   }
 }
 
-uint32_t mask_field(uint32_t v, int field, uint8_t len) noexcept {
-  const int bits = field_bits(field);
-  if (len == 0) return 0;
-  if (len >= bits) return v;
-  return v & (~0u << (bits - len));
+FieldMasks field_masks(const TupleMask& t) noexcept {
+  FieldMasks m{};
+  for (int f = 0; f < kNumFields; ++f) {
+    const int bits = field_bits(f);
+    const int len = t.len[static_cast<size_t>(f)];
+    // Shift only by 1..31: a shift by 32 would be undefined.
+    m[static_cast<size_t>(f)] = len == 0 ? 0u : len >= bits ? ~0u : ~0u << (bits - len);
+  }
+  return m;
 }
 
 TupleMask tuple_of(const Rule& r) noexcept {
@@ -70,7 +64,7 @@ TupleMask tuple_of(const Rule& r) noexcept {
 }
 
 TupleTable::TupleTable(TupleMask mask)
-    : mask_(mask), heads_(16, 0), counts_(16, 0) {
+    : mask_(mask), masks_(field_masks(mask)), heads_(16, 0), counts_(16, 0) {
   new_layout();
 }
 
@@ -80,16 +74,10 @@ void TupleTable::new_layout() {
   page_version_ = {};
 }
 
-std::array<uint32_t, kNumFields> TupleTable::key_of(const Rule& r) const noexcept {
-  std::array<uint32_t, kNumFields> key{};
-  for (int f = 0; f < kNumFields; ++f)
-    key[static_cast<size_t>(f)] =
-        mask_field(r.field[static_cast<size_t>(f)].lo, f, mask_.len[static_cast<size_t>(f)]);
+TupleKey TupleTable::key_of(const Rule& r) const noexcept {
+  TupleKey key;
+  for (size_t f = 0; f < kNumFields; ++f) key[f] = r.field[f].lo & masks_[f];
   return key;
-}
-
-size_t TupleTable::bucket_of(const std::array<uint32_t, kNumFields>& key) const noexcept {
-  return hash_key(key) & (heads_.size() - 1);
 }
 
 void TupleTable::rebuild(std::vector<Entry> live) {
@@ -243,9 +231,7 @@ void TupleTable::recompute_best() noexcept {
 }
 
 void TupleTable::probe(const Packet& p, std::vector<uint32_t>& out) const {
-  std::array<uint32_t, kNumFields> key{};
-  for (int f = 0; f < kNumFields; ++f)
-    key[static_cast<size_t>(f)] = mask_field(p[f], f, mask_.len[static_cast<size_t>(f)]);
+  const TupleKey key = masked_key(p.field, masks_);
   const size_t b = bucket_of(key);
   for (uint32_t i = heads_[b], c = 0; c < counts_[b]; ++i, ++c) {
     const Entry& e = entries_[i];
@@ -260,9 +246,7 @@ void TupleTable::probe(const Packet& p, std::vector<uint32_t>& out) const {
 void TupleTable::probe_best(const Packet& p, std::span<const Rule> rules,
                             std::span<const uint8_t> alive,
                             MatchResult& best) const noexcept {
-  std::array<uint32_t, kNumFields> key{};
-  for (int f = 0; f < kNumFields; ++f)
-    key[static_cast<size_t>(f)] = mask_field(p[f], f, mask_.len[static_cast<size_t>(f)]);
+  const TupleKey key = masked_key(p.field, masks_);
   // Callers check may_beat() first, so against a floor (no hit yet) the
   // candidate is strictly better; against a hit, beats() settles a tie by
   // rule id (equal priorities are not ordered by id inside a bucket).

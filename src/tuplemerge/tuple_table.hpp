@@ -48,8 +48,20 @@ struct TupleMask {
 /// Field bit-width (32/32/16/16/8 for the classic 5-tuple).
 [[nodiscard]] int field_bits(int f) noexcept;
 
-/// Keep the `len` most significant bits of a field value.
-[[nodiscard]] uint32_t mask_field(uint32_t v, int field, uint8_t len) noexcept;
+/// Per-field AND masks of a tuple: mask[f] keeps the len[f] most
+/// significant bits of field f (0 at len 0, every bit at len >= width).
+/// Tables compute them once, so masking a probe key costs five ANDs.
+using FieldMasks = std::array<uint32_t, kNumFields>;
+[[nodiscard]] FieldMasks field_masks(const TupleMask& t) noexcept;
+
+/// A masked key: the field values a table hashes and compares.
+using TupleKey = std::array<uint32_t, kNumFields>;
+[[nodiscard]] inline TupleKey masked_key(const std::array<uint32_t, kNumFields>& v,
+                                         const FieldMasks& m) noexcept {
+  TupleKey k;
+  for (size_t f = 0; f < kNumFields; ++f) k[f] = v[f] & m[f];
+  return k;
+}
 
 /// The natural tuple of a rule: exact prefix length per field, or 0 for
 /// fields whose range is not a prefix block.
@@ -64,9 +76,22 @@ struct TupleMask {
   return priority < best.priority || (priority == best.priority && best.hit());
 }
 
-/// Hash of a masked key: a table's bucket is the hash modulo its
-/// power-of-two bucket count.
-[[nodiscard]] uint64_t hash_key(const std::array<uint32_t, kNumFields>& key) noexcept;
+/// Hash of a masked key: a table's bucket is its low bits (the hash modulo
+/// the power-of-two bucket count). Two independent multiplies over packed
+/// (src, dst) and (sport, dport, proto), then a xorshift-multiply finalizer:
+/// a multiply moves entropy only upward, and masked keys end in long runs
+/// of zero bits, so without the finalizer the low bits a bucket index reads
+/// would be near constant.
+[[nodiscard]] inline uint64_t hash_key(const TupleKey& key) noexcept {
+  const uint64_t ips = (uint64_t{key[kSrcIp]} << 32 | key[kDstIp]) * 0x9E3779B97F4A7C15ull;
+  const uint64_t ports =
+      (uint64_t{key[kSrcPort]} << 40 ^ uint64_t{key[kDstPort]} << 8 ^ key[kProto]) *
+      0xC2B2AE3D27D4EB4Full;
+  uint64_t h = ips ^ ports;
+  h ^= h >> 32;
+  h *= 0xD6E8FEB86659FD93ull;
+  return h ^ (h >> 32);
+}
 
 /// One hash table holding rules under a common mask.
 class TupleTable {
@@ -74,7 +99,7 @@ class TupleTable {
   explicit TupleTable(TupleMask mask);
 
   struct Entry {
-    std::array<uint32_t, kNumFields> key{};
+    TupleKey key{};
     uint32_t rule_pos = kDead;  // position in the owning classifier's rule array
     int32_t priority = 0;
     TupleMask exact_tuple{};  // the rule's own tuple (used when splitting)
@@ -149,8 +174,10 @@ class TupleTable {
                  uint32_t* start, std::vector<Rule>& packed) const;
 
  private:
-  [[nodiscard]] std::array<uint32_t, kNumFields> key_of(const Rule& r) const noexcept;
-  [[nodiscard]] size_t bucket_of(const std::array<uint32_t, kNumFields>& key) const noexcept;
+  [[nodiscard]] TupleKey key_of(const Rule& r) const noexcept;
+  [[nodiscard]] size_t bucket_of(const TupleKey& key) const noexcept {
+    return hash_key(key) & (heads_.size() - 1);
+  }
   void rebuild(std::vector<Entry> live);
   void recompute_stats() noexcept;
   void recompute_best() noexcept;
@@ -174,6 +201,7 @@ class TupleTable {
   void new_layout();
 
   TupleMask mask_;
+  FieldMasks masks_;  // field_masks(mask_)
   // Flat region: per-bucket contiguous, priority-sorted entries.
   std::vector<uint32_t> heads_;   // bucket -> first entry; power-of-two size
   std::vector<uint32_t> counts_;  // bucket -> entry count

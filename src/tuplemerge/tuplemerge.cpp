@@ -196,7 +196,7 @@ TupleMergeSnapshot TupleMerge::snapshot(const TupleMergeSnapshot* prev) const {
         if (t.layout == tbl->layout()) old = &t;
       }
     }
-    Snap::Table t{tbl->mask(), std::numeric_limits<int32_t>::max(),
+    Snap::Table t{field_masks(tbl->mask()), std::numeric_limits<int32_t>::max(),
                   static_cast<uint32_t>(tbl->bucket_count() - 1), tbl->layout(), {}};
     t.pages.reserve(tbl->page_count());
     std::optional<TupleTable::Extras> extra;  // sorted once, if a page is re-packed
@@ -228,12 +228,9 @@ MatchResult TupleMergeSnapshot::match_with_floor(const Packet& p,
   best.priority = priority_floor;  // the pruning bound; not a hit yet
   for (const Table& t : tables_) {
     if (!may_beat(t.best_priority, best)) break;  // sorted: nothing better left
-    std::array<uint32_t, kNumFields> key{};
-    for (int f = 0; f < kNumFields; ++f)
-      key[static_cast<size_t>(f)] = mask_field(p[f], f, t.mask.len[static_cast<size_t>(f)]);
     // A rule that matches p has p's masked key, so it sits in this bucket:
     // the rule check alone filters the bucket's other keys.
-    const size_t b = hash_key(key) & t.bucket_mask;
+    const size_t b = hash_key(masked_key(p.field, t.masks)) & t.bucket_mask;
     const Page& page = *t.pages[b >> TupleTable::kPageShift];
     const size_t i = b & (TupleTable::kPageBuckets - 1);
     for (const Rule *r = page.rules.data() + page.start[i],

@@ -70,7 +70,7 @@ class TupleMergeSnapshot {
     std::vector<Rule> rules;
   };
   struct Table {
-    TupleMask mask;
+    FieldMasks masks;       // field_masks() of the source table's mask
     int32_t best_priority;  // exact: min over the table's rules
     uint32_t bucket_mask;   // bucket count - 1
     uint64_t layout;        // TupleTable::layout() of the source table

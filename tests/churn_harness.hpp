@@ -259,7 +259,6 @@ class ChurnHarness {
     } else {
       ocfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
     }
-    ocfg.base.min_iset_coverage = 0.05;
     ocfg.retrain_threshold = cfg_.retrain_threshold;
     ocfg.auto_retrain = cfg_.auto_retrain;
     ocfg.max_retrain_failures = cfg_.max_retrain_failures;

@@ -38,7 +38,6 @@ TEST_P(BatchEquivalence, BatchEqualsScalarMatch) {
   NuevoMatchConfig cfg;
   if (c.tm) {
     cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-    cfg.min_iset_coverage = 0.05;
   } else {
     cfg.remainder_factory = [] { return std::make_unique<CutSplit>(); };
     cfg.min_iset_coverage = 0.25;
@@ -139,7 +138,6 @@ TEST(Batch, BatchEqualsScalarOnPinnedGenerationAcrossSwap) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 2, 1500, 11);
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 0.01;
   OnlineNuevoMatch online{cfg};
   online.build(rules);

@@ -327,7 +327,6 @@ TEST(ChurnRaces, ConcurrentDuplicateInsertAcceptedExactlyOnce) {
   const RuleSet base = generate_classbench(AppClass::kAcl, 1, 800, 44);
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 1.0;
   cfg.auto_retrain = false;
   OnlineNuevoMatch online{cfg};
@@ -372,7 +371,6 @@ TEST(ChurnRaces, UpdateOpsCountsAcceptedOps) {
   const RuleSet base = generate_classbench(AppClass::kFw, 1, 600, 46);
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 1.0;
   OnlineNuevoMatch online{cfg};
   online.build(base);

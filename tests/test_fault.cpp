@@ -29,7 +29,6 @@ using failpoint::Trigger;
 OnlineConfig make_cfg() {
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.auto_retrain = false;
   cfg.backoff_initial_ms = 4;   // keep fault drills fast
   cfg.backoff_max_ms = 32;

@@ -28,7 +28,6 @@ std::vector<std::unique_ptr<Classifier>> all_engines() {
   out.push_back(std::make_unique<NeuroCutsLike>(nc));
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   out.push_back(std::make_unique<NuevoMatch>(cfg));
   return out;
 }

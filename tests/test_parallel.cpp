@@ -17,7 +17,6 @@ TEST(Parallel, MatchesSequentialResults) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 3000, 1);
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   NuevoMatch nm{cfg};
   nm.build(rules);
 
@@ -39,7 +38,6 @@ TEST(Parallel, RaggedAndTinyBatches) {
   const RuleSet rules = generate_classbench(AppClass::kFw, 2, 1000, 2);
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   NuevoMatch nm{cfg};
   nm.build(rules);
   TraceConfig tc;

@@ -41,7 +41,6 @@ std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
                                               bool auto_retrain = false) {
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.auto_retrain = auto_retrain;
   cfg.retrain_threshold = 1.0;
   auto online = std::make_shared<OnlineNuevoMatch>(std::move(cfg));
@@ -446,7 +445,6 @@ TEST(PipelineEndToEnd, PcapDecisionsMatchScalarOracleThroughUpdatesAndSwaps) {
   // Scalar oracles for the three rule-set epochs of the stream.
   NuevoMatchConfig ocfg;
   ocfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  ocfg.min_iset_coverage = 0.05;
   NuevoMatch base_oracle{ocfg};
   base_oracle.build(file_rules);
   RuleSet with_shadow = file_rules;

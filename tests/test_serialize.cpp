@@ -131,7 +131,6 @@ TEST(RulesSerialize, RoundTripPreservesEveryField) {
 NuevoMatchConfig tm_config() {
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   return cfg;
 }
 

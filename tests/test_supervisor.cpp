@@ -43,7 +43,6 @@ std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
                                               double retrain_threshold = 1.0) {
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.auto_retrain = false;
   cfg.retrain_threshold = retrain_threshold;
   auto online = std::make_shared<OnlineNuevoMatch>(std::move(cfg));

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "classbench/generator.hpp"
@@ -216,6 +219,55 @@ TEST(TupleMerge, SnapshotMatchesSourceThroughChurn) {
     }
   }
   EXPECT_EQ(tm.live_rules().size(), tm.size());
+}
+
+// Masks are built ahead of time, so their shifts run at the width edges:
+// len 0 (keep nothing) and len >= width (keep everything) must not shift by
+// 32, and every length in between keeps exactly the top `len` field bits.
+TEST(TupleKeyHash, FieldMasksAtWidthEdges) {
+  TupleMask t;
+  t.len = {0, 32, 16, 0, 8};
+  EXPECT_EQ(field_masks(t), (FieldMasks{0u, ~0u, ~0u, 0u, ~0u}));
+  t.len = {1, 31, 1, 15, 7};
+  EXPECT_EQ(field_masks(t), (FieldMasks{0x80000000u, 0xFFFFFFFEu, 0xFFFF8000u, 0xFFFFFFFEu,
+                                        0xFFFFFFFEu}));
+  // A probe key equals the rule key for every value inside the prefix.
+  t.len = {24, 8, 16, 0, 8};
+  const FieldMasks m = field_masks(t);
+  const TupleKey k = masked_key({0x0A0B0CFFu, 0xC0A80001u, 80, 443, 6}, m);
+  EXPECT_EQ(k, (TupleKey{0x0A0B0C00u, 0xC0000000u, 80, 0, 6}));
+}
+
+// Buckets are the hash's low bits, and masked keys end in runs of zero
+// bits (IPs cut to /8../24, wildcard ports and proto). Over a few thousand
+// such keys the number of occupied buckets must be what random placement
+// gives, n(1 - e^(-k/n)), within 10%, at every bucket count a table uses.
+// A hash whose low bits depend only on the key's low bits fails this badly.
+TEST(TupleKeyHash, OccupancyMatchesBallsInBins) {
+  const std::pair<int, int> lens[] = {{8, 8},  {8, 16},  {8, 24},  {16, 8}, {16, 16},
+                                      {16, 24}, {24, 8}, {24, 16}, {24, 24}, {0, 16},
+                                      {0, 24},  {16, 0}, {24, 0}};
+  Rng rng{71};
+  for (const auto& [src_len, dst_len] : lens) {
+    TupleMask t;
+    t.len = {static_cast<uint8_t>(src_len), static_cast<uint8_t>(dst_len), 0, 0, 0};
+    const FieldMasks m = field_masks(t);
+    std::set<TupleKey> keys;
+    while (keys.size() < 3000)
+      keys.insert(masked_key({rng.next_u32(), rng.next_u32(), rng.next_u32() & 0xFFFF,
+                              rng.next_u32() & 0xFFFF, rng.next_u32() & 0xFF},
+                             m));
+    const double k = static_cast<double>(keys.size());
+    for (int log_n = 6; log_n <= 16; ++log_n) {
+      const size_t n = size_t{1} << log_n;
+      std::vector<uint8_t> used(n, 0);
+      for (const TupleKey& key : keys) used[hash_key(key) & (n - 1)] = 1;
+      const double occupied = static_cast<double>(std::count(used.begin(), used.end(), 1));
+      const double expected = static_cast<double>(n) * (1.0 - std::exp(-k / static_cast<double>(n)));
+      EXPECT_NEAR(occupied, expected, 0.1 * expected)
+          << "src /" << src_len << " dst /" << dst_len << ", " << n << " buckets";
+    }
+  }
 }
 
 TEST(TupleMerge, SupportsUpdatesFlag) {

@@ -31,7 +31,6 @@ namespace {
 NuevoMatch make_nm() {
   NuevoMatchConfig cfg;
   cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.min_iset_coverage = 0.05;
   return NuevoMatch{cfg};
 }
 
@@ -170,7 +169,6 @@ TEST(Updates, ActionChangeNeedsNoStructuralUpdate) {
 OnlineConfig make_online_cfg(double threshold = 0.05, bool auto_retrain = true) {
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-  cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = threshold;
   cfg.auto_retrain = auto_retrain;
   return cfg;
