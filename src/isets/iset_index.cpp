@@ -46,55 +46,49 @@ size_t count_leq(const uint32_t* begin, size_t count, uint32_t v) noexcept {
 
 }  // namespace
 
-void IsetIndex::index_rules() {
+void IsetIndex::index_rules(std::span<const Rule> rules) {
   domain_ = kFieldDomain[static_cast<size_t>(field_)];
   inv_domain_ = rqrmi::normalize_reciprocal(domain_);
-  live_ = rules_.size();
-  lo_.resize(rules_.size());
-  hi_.resize(rules_.size());
-  prio_.resize(rules_.size());
-  id_.resize(rules_.size());
-  wild_rest_.resize(rules_.size());
-  alive_.assign(rules_.size(), 1);
+  live_ = rules.size();
+  lo_.clear();
+  lo_.reserve(rules.size());
+  slots_.clear();
+  slots_.reserve(rules.size());
   pos_by_id_.clear();
-  pos_by_id_.reserve(rules_.size());
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    const Range& r = rules_[i].field[static_cast<size_t>(field_)];
-    lo_[i] = r.lo;
-    hi_[i] = r.hi;
-    prio_[i] = rules_[i].priority;
-    id_[i] = rules_[i].id;
+  pos_by_id_.reserve(rules.size());
+  for (const Rule& rule : rules) {
+    const Range& r = rule.field[static_cast<size_t>(field_)];
+    if (!slots_.empty() && r.lo <= slots_.back().hi)
+      throw std::invalid_argument{"IsetIndex: rules must be disjoint and sorted in field"};
     bool wild = true;
     for (int f = 0; f < kNumFields; ++f)
-      if (f != field_ && !rules_[i].is_wildcard(f)) wild = false;
-    wild_rest_[i] = wild ? 1 : 0;
-    pos_by_id_.emplace(rules_[i].id, static_cast<uint32_t>(i));
-    if (i > 0 && lo_[i] <= hi_[i - 1])
-      throw std::invalid_argument{"IsetIndex: rules must be disjoint and sorted in field"};
+      if (f != field_ && !rule.is_wildcard(f)) wild = false;
+    pos_by_id_.emplace(rule.id, static_cast<uint32_t>(slots_.size()));
+    lo_.push_back(r.lo);
+    slots_.push_back(Slot{rule, r.hi, 1, static_cast<uint8_t>(wild ? 1 : 0)});
   }
 }
 
-void IsetIndex::build(int field, std::vector<Rule> rules, const rqrmi::RqRmiConfig& cfg) {
+void IsetIndex::build(int field, std::span<const Rule> rules,
+                      const rqrmi::RqRmiConfig& cfg) {
   field_ = field;
-  rules_ = std::move(rules);
-  index_rules();
+  index_rules(rules);
   std::vector<rqrmi::KeyInterval> intervals;
-  intervals.reserve(rules_.size());
-  for (size_t i = 0; i < rules_.size(); ++i) {
+  intervals.reserve(size());
+  for (size_t i = 0; i < size(); ++i) {
     intervals.push_back(rqrmi::KeyInterval{
         rqrmi::normalize_key_exact(lo_[i], domain_),
-        rqrmi::normalize_key_exact(static_cast<uint64_t>(hi_[i]) + 1, domain_),
+        rqrmi::normalize_key_exact(static_cast<uint64_t>(slots_[i].hi) + 1, domain_),
         static_cast<uint32_t>(i)});
   }
   model_.build(std::move(intervals), cfg);
 }
 
-void IsetIndex::restore(int field, std::vector<Rule> rules, rqrmi::RqRmi model) {
+void IsetIndex::restore(int field, std::span<const Rule> rules, rqrmi::RqRmi model) {
   if (model.num_intervals() != rules.size())
     throw std::invalid_argument{"IsetIndex::restore: model/rule count mismatch"};
   field_ = field;
-  rules_ = std::move(rules);
-  index_rules();
+  index_rules(rules);
   model_ = std::move(model);
 }
 
@@ -124,7 +118,7 @@ void IsetIndex::predict_batch(std::span<const uint32_t> values,
   predict_batch(values, out, rqrmi::best_simd_level());
 }
 
-int32_t IsetIndex::search(uint32_t v, const rqrmi::Prediction& pred) const noexcept {
+int32_t IsetIndex::candidate(uint32_t v, const rqrmi::Prediction& pred) const noexcept {
   if (lo_.empty()) return -1;
   const auto n = static_cast<int64_t>(lo_.size());
   const int64_t first =
@@ -137,21 +131,31 @@ int32_t IsetIndex::search(uint32_t v, const rqrmi::Prediction& pred) const noexc
   const size_t leq = count_leq(lo_.data() + first,
                                static_cast<size_t>(last - first + 1), v);
   if (leq == 0) return -1;
-  const auto pos = static_cast<int32_t>(static_cast<size_t>(first) + leq - 1);
-  return hi_[static_cast<size_t>(pos)] >= v ? pos : -1;
+  return static_cast<int32_t>(static_cast<size_t>(first) + leq - 1);
+}
+
+int32_t IsetIndex::search(uint32_t v, const rqrmi::Prediction& pred) const noexcept {
+  const int32_t pos = candidate(v, pred);
+  return pos >= 0 && slots_[static_cast<size_t>(pos)].hi >= v ? pos : -1;
 }
 
 void IsetIndex::search_batch(std::span<const uint32_t> values,
                              std::span<const rqrmi::Prediction> preds,
                              std::span<int32_t> out) const noexcept {
-  // One wave of windows is prefetched ahead of the one being walked, so the
-  // bounded searches overlap their DRAM accesses instead of serializing.
+  // Pass 1: one wave of windows is prefetched ahead of the one being
+  // walked, so the bounded searches overlap their DRAM accesses instead of
+  // serializing; each candidate's slot is prefetched as soon as it is known.
   constexpr size_t kWave = 4;
   const size_t n = values.size();
   for (size_t i = 0; i < n && i < kWave; ++i) prefetch_window(preds[i]);
   for (size_t i = 0; i < n; ++i) {
     if (i + kWave < n) prefetch_window(preds[i + kWave]);
-    out[i] = search(values[i], preds[i]);
+    out[i] = candidate(values[i], preds[i]);
+    if (out[i] >= 0) __builtin_prefetch(&slots_[static_cast<size_t>(out[i])]);
+  }
+  // Pass 2: the range-end check, with the whole tile's slots in flight.
+  for (size_t i = 0; i < n; ++i) {
+    if (out[i] >= 0 && slots_[static_cast<size_t>(out[i])].hi < values[i]) out[i] = -1;
   }
 }
 
@@ -162,7 +166,6 @@ void IsetIndex::prefetch_window(const rqrmi::Prediction& pred) const noexcept {
       static_cast<size_t>(std::max<int64_t>(
           0, static_cast<int64_t>(pred.index) - pred.search_error)));
   __builtin_prefetch(lo_.data() + first);
-  __builtin_prefetch(hi_.data() + first);
 }
 
 MatchResult IsetIndex::validate(int32_t pos, const Packet& p) const noexcept {
@@ -173,14 +176,12 @@ MatchResult IsetIndex::validate(int32_t pos, const Packet& p,
                                 int32_t priority_floor) const noexcept {
   if (pos < 0) return MatchResult{};
   const auto i = static_cast<size_t>(pos);
-  // Packed metadata first: a candidate that cannot beat the floor, or whose
-  // other fields are wildcards, never needs its rule body fetched.
-  if (prio_[i] >= priority_floor || alive_load(i) == 0) return MatchResult{};
-  if (wild_rest_[i])
-    return MatchResult{static_cast<int32_t>(id_[i]), prio_[i]};
-  const Rule& r = rules_[i];
-  if (!r.matches(p)) return MatchResult{};
-  return MatchResult{static_cast<int32_t>(r.id), r.priority};
+  // Cheap rejections and accepts first: a candidate that cannot beat the
+  // floor, or whose other fields are wildcards, needs no field compare.
+  const Slot& s = slots_[i];
+  if (s.rule.priority >= priority_floor || alive_load(i) == 0) return MatchResult{};
+  if (s.wild_rest == 0 && !s.rule.matches(p)) return MatchResult{};
+  return MatchResult{static_cast<int32_t>(s.rule.id), s.rule.priority};
 }
 
 MatchResult IsetIndex::lookup(const Packet& p, rqrmi::SimdLevel level) const noexcept {
@@ -208,9 +209,7 @@ bool IsetIndex::erase(uint32_t rule_id) noexcept {
 }
 
 size_t IsetIndex::rule_storage_bytes() const noexcept {
-  return lo_.size() * sizeof(uint32_t) + hi_.size() * sizeof(uint32_t) +
-         prio_.size() * sizeof(int32_t) + id_.size() * sizeof(uint32_t) +
-         wild_rest_.size() + rules_.size() * sizeof(Rule) + alive_.size() +
+  return lo_.size() * sizeof(uint32_t) + slots_.size() * sizeof(Slot) +
          map_overhead_bytes(pos_by_id_);
 }
 

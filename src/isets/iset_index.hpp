@@ -2,9 +2,13 @@
 // position of the matching rule in a field-sorted array, a bounded secondary
 // search around the prediction, and multi-field validation of the candidate.
 //
-// Field values of the sorted rules are stored as structure-of-arrays so the
-// secondary search touches densely packed cache lines (paper Section 4,
-// "Inference and secondary search").
+// Storage has two parts. The range starts of the sorted rules sit in one
+// dense array, so the secondary search walks packed cache lines (paper
+// Section 4, "Inference and secondary search"). Everything a candidate needs
+// after that -- the indexed field's range end, the rule body (priority, id,
+// action, every field range), the tombstone and the wildcard flag -- sits in
+// one 64-byte-aligned slot per rule, so confirming and validating a candidate
+// costs one cache line, which search_batch prefetches across the tile.
 #pragma once
 
 #include <atomic>
@@ -22,11 +26,11 @@ class IsetIndex {
  public:
   /// `rules` must be pairwise non-overlapping in `field` and sorted by the
   /// field's lo (exactly what partition_rules produces).
-  void build(int field, std::vector<Rule> rules, const rqrmi::RqRmiConfig& cfg);
+  void build(int field, std::span<const Rule> rules, const rqrmi::RqRmiConfig& cfg);
 
   /// Reinstate from an already-trained model (the serializer's load path).
   /// `rules` must be the exact rule array the model was trained on.
-  void restore(int field, std::vector<Rule> rules, rqrmi::RqRmi model);
+  void restore(int field, std::span<const Rule> rules, rqrmi::RqRmi model);
 
   /// Full lookup: predict, search, validate. Returns the validated match or
   /// a miss (validation may reject the candidate on another field, §3.6).
@@ -54,9 +58,11 @@ class IsetIndex {
   /// contains the value.
   [[nodiscard]] int32_t search(uint32_t field_value,
                                const rqrmi::Prediction& pred) const noexcept;
-  /// Batched bounded secondary search: interleaves the per-packet windows,
-  /// prefetching one wave ahead so a window's cache lines are in flight
-  /// while earlier packets are still being searched.
+  /// Batched bounded secondary search, equal to search() element for
+  /// element. Pass 1 walks the per-packet windows of range starts, with each
+  /// window prefetched one wave ahead, and prefetches every candidate's slot.
+  /// Pass 2 applies the range-end check, by which time the slots are in
+  /// flight, and leaves them in cache for validate().
   void search_batch(std::span<const uint32_t> values,
                     std::span<const rqrmi::Prediction> preds,
                     std::span<int32_t> out) const noexcept;
@@ -73,7 +79,7 @@ class IsetIndex {
                                      int32_t priority_floor) const noexcept;
 
   /// Tombstone a rule (paper §3.9 deletion path). Returns false if absent.
-  /// O(1) via the id→position map; the sorted arrays and the trained model
+  /// O(1) via the id→position map; the sorted rules and the trained model
   /// are untouched, so the §3.3 error certification stays valid. The flip
   /// itself is an atomic byte store: the online engine's wait-free readers
   /// race it lock-free, and a monotone 1→0 flag read at validation time is
@@ -90,7 +96,7 @@ class IsetIndex {
   [[nodiscard]] bool alive(size_t i) const noexcept { return alive_load(i) != 0; }
 
   [[nodiscard]] int field() const noexcept { return field_; }
-  [[nodiscard]] size_t size() const noexcept { return rules_.size(); }
+  [[nodiscard]] size_t size() const noexcept { return lo_.size(); }
   [[nodiscard]] size_t live_rules() const noexcept { return live_; }
   [[nodiscard]] uint32_t max_search_error() const noexcept {
     return model_.max_search_error();
@@ -98,39 +104,47 @@ class IsetIndex {
   /// RQ-RMI weights — the part that must stay in cache (Figure 1 keeps the
   /// rule bodies in DRAM).
   [[nodiscard]] size_t model_bytes() const noexcept { return model_.memory_bytes(); }
-  /// Sorted field arrays + rule bodies (the DRAM side).
+  /// Range starts + rule slots + id map (the DRAM side).
   [[nodiscard]] size_t rule_storage_bytes() const noexcept;
   [[nodiscard]] const rqrmi::RqRmi& model() const noexcept { return model_; }
-  [[nodiscard]] const std::vector<Rule>& rules() const noexcept { return rules_; }
+  /// The rule at sorted position `i` (tombstoned or not), i < size().
+  [[nodiscard]] const Rule& rule(size_t i) const noexcept { return slots_[i].rule; }
 
  private:
-  /// Fill the SoA arrays from rules_; validates sortedness/disjointness.
-  void index_rules();
+  /// Everything validation reads about one rule, in one cache line.
+  struct alignas(64) Slot {
+    Rule rule;               // priority, id, action and every field range
+    uint32_t hi = 0;         // rule.field[field_].hi, at a fixed offset
+    uint8_t alive = 1;       // tombstone: after build, written only by alive_store
+    uint8_t wild_rest = 0;   // 1 = wildcard in every non-indexed field
+  };
+  static_assert(sizeof(Slot) == 64, "one cache line per rule");
 
-  /// Tombstone flag access. std::atomic_ref on the plain byte array keeps
-  /// the SoA layout (and its serializer framing) unchanged while giving the
-  /// reader/writer race defined behavior; relaxed order suffices because
-  /// nothing else is published through the flag (the rule body it gates is
-  /// immutable) — cross-thread visibility ordering comes from the caller
-  /// (the online engine's swap machinery, or plain thread join).
+  /// Fill lo_ and slots_ from `rules`; validates sortedness/disjointness.
+  void index_rules(std::span<const Rule> rules);
+  /// Last position in pred's window whose range starts at or below v, or -1
+  /// (search() without the range-end check).
+  [[nodiscard]] int32_t candidate(uint32_t v, const rqrmi::Prediction& pred) const noexcept;
+
+  /// Tombstone flag access. std::atomic_ref on the slot's plain byte gives
+  /// the reader/writer race defined behavior without making the slot
+  /// non-copyable; relaxed order suffices because nothing else is published
+  /// through the flag (the rule body it gates is immutable) — cross-thread
+  /// visibility ordering comes from the caller (the online engine's swap
+  /// machinery, or plain thread join).
   [[nodiscard]] uint8_t alive_load(size_t i) const noexcept {
-    return std::atomic_ref<uint8_t>(const_cast<uint8_t&>(alive_[i]))
+    return std::atomic_ref<uint8_t>(const_cast<uint8_t&>(slots_[i].alive))
         .load(std::memory_order_relaxed);
   }
   void alive_store(size_t i, uint8_t v) noexcept {
-    std::atomic_ref<uint8_t>(alive_[i]).store(v, std::memory_order_relaxed);
+    std::atomic_ref<uint8_t>(slots_[i].alive).store(v, std::memory_order_relaxed);
   }
 
   int field_ = 0;
   uint64_t domain_ = 0;
   double inv_domain_ = 0.0;  // 1/(domain_+1): multiply, don't divide, per key
-  std::vector<uint32_t> lo_;      // SoA: range starts, sorted
-  std::vector<uint32_t> hi_;      // SoA: range ends
-  std::vector<int32_t> prio_;     // SoA: rule priorities
-  std::vector<uint32_t> id_;      // SoA: rule ids
-  std::vector<uint8_t> wild_rest_;  // 1 = wildcard in every non-indexed field
-  std::vector<Rule> rules_;       // same order as lo_/hi_
-  std::vector<uint8_t> alive_;    // tombstones
+  std::vector<uint32_t> lo_;   // range starts, sorted: the secondary search
+  std::vector<Slot> slots_;    // same order as lo_: the range-end check and validation
   std::unordered_map<uint32_t, uint32_t> pos_by_id_;  // O(1) erase
   size_t live_ = 0;
   rqrmi::RqRmi model_;

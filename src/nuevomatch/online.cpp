@@ -362,9 +362,9 @@ void OnlineNuevoMatch::install_generation_locked(std::shared_ptr<Generation> fre
   int64_t prio_lo = INT64_MAX;
   int64_t prio_hi = INT64_MIN;
   for (const IsetIndex& is : fresh->nm.isets()) {
-    for (size_t i = 0; i < is.rules().size(); ++i) {
+    for (size_t i = 0; i < is.size(); ++i) {
       if (!is.alive(i)) continue;
-      const Rule& r = is.rules()[i];
+      const Rule& r = is.rule(i);
       live_loc_.emplace(r.id, LiveInfo{Loc::kIset, r.priority});
       prio_lo = std::min<int64_t>(prio_lo, r.priority);
       prio_hi = std::max<int64_t>(prio_hi, r.priority);
@@ -536,8 +536,8 @@ std::vector<Rule> OnlineNuevoMatch::compose_rules_locked() const {
   std::vector<Rule> out;
   out.reserve(live_count_.load(std::memory_order_relaxed));
   for (const IsetIndex& is : gen_owner_->nm.isets()) {
-    for (size_t i = 0; i < is.rules().size(); ++i) {
-      if (is.alive(i)) out.push_back(is.rules()[i]);
+    for (size_t i = 0; i < is.size(); ++i) {
+      if (is.alive(i)) out.push_back(is.rule(i));
     }
   }
   for (const Rule& r : base_rules_) {

@@ -1,10 +1,12 @@
 #include "pipeline/elements.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "classbench/parser.hpp"
 #include "common/metrics.hpp"
@@ -247,15 +249,19 @@ void ClassifierElement::adopt_shared(const ClassifierElement& proto) {
 void ClassifierElement::enable_parallel() { want_parallel_ = true; }
 
 void ClassifierElement::set_actions(std::span<const Rule> rules) {
-  actions_.clear();
-  actions_.reserve(rules.size());
-  for (const Rule& r : rules) actions_.emplace(r.id, r.action);
+  uint64_t max_id = 0;
+  for (const Rule& r : rules) max_id = std::max<uint64_t>(max_id, r.id);
+  if (!rules.empty() && max_id > 4 * static_cast<uint64_t>(rules.size()) + 64)
+    throw std::invalid_argument("set_actions: rule id " + std::to_string(max_id) +
+                                " is too sparse for " + std::to_string(rules.size()) +
+                                " rules (ids must be dense)");
+  actions_.assign(rules.empty() ? 0 : max_id + 1, -1);
+  for (const Rule& r : rules) actions_[r.id] = r.action;
 }
 
 int32_t ClassifierElement::action_of(int32_t rule_id) const {
-  if (rule_id < 0) return -1;
-  const auto it = actions_.find(static_cast<uint32_t>(rule_id));
-  return it == actions_.end() ? -1 : it->second;
+  const auto id = static_cast<size_t>(rule_id);
+  return rule_id >= 0 && id < actions_.size() ? actions_[id] : -1;
 }
 
 void ClassifierElement::initialize(Graph&) {

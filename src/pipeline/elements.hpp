@@ -155,10 +155,14 @@ class ClassifierElement final : public Element {
   /// The online engine, or null when a scalar engine is attached.
   [[nodiscard]] OnlineNuevoMatch* online() const noexcept { return online_.get(); }
 
-  /// Rule-id -> action map used to annotate decisions for Dispatch. Built
-  /// from the rule file automatically; programmatic attachments provide it
-  /// here. Rules inserted later default to action -1 (Dispatch's last
-  /// port) unless refreshed — the map is read-only while the graph runs.
+  /// Rule-id -> action table used to annotate decisions for Dispatch: a
+  /// flat array indexed by rule id, since rule-set ids are dense (types.hpp).
+  /// Built from the rule file automatically; programmatic attachments
+  /// provide it here. Ids outside the table — a miss, or a rule inserted
+  /// after this call — get action -1 (Dispatch's last port) unless
+  /// refreshed; the table is read-only while the graph runs. Throws
+  /// std::invalid_argument when the largest id is far past the span's size
+  /// (more than 4 x size + 64), so a sparse id cannot size a huge table.
   void set_actions(std::span<const Rule> rules);
 
   [[nodiscard]] uint64_t classified() const noexcept {
@@ -172,7 +176,7 @@ class ClassifierElement final : public Element {
   std::shared_ptr<const nuevomatch::Classifier> scalar_;
   std::unique_ptr<BatchParallelEngine> parallel_;
   bool want_parallel_ = false;
-  std::unordered_map<uint32_t, int32_t> actions_;
+  std::vector<int32_t> actions_;  // indexed by rule id
   // Relaxed atomics: incremented by the replica's worker thread, read by
   // reports/telemetry while firing (was a torn read as plain u64).
   std::atomic<uint64_t> classified_{0};

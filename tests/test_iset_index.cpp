@@ -109,6 +109,92 @@ TEST(IsetIndex, EraseTombstonesRule) {
   EXPECT_FALSE(fx.index.erase(0xFFFFFFFF));
 }
 
+/// The one live rule of `rules` that matches `p` (ranges are disjoint in
+/// the indexed field, so there is at most one), by linear scan.
+MatchResult scan(std::span<const Rule> rules, const std::vector<bool>& dead,
+                 const Packet& p) {
+  for (size_t i = 0; i < rules.size(); ++i)
+    if (!dead[i] && rules[i].matches(p)) return MatchResult{static_cast<int32_t>(rules[i].id),
+                                                            rules[i].priority};
+  return MatchResult{};
+}
+
+TEST(IsetIndex, RangeEndCheckAtGapsEdgesAndTombstones) {
+  // Ranges [1000 i + 7, 1000 i + 506] leave gaps on both sides of every
+  // rule, so a key just past a range end has a candidate (its range starts
+  // below the key) that only the range-end check rejects. Odd rules also
+  // constrain the source port, so validation has fields to compare.
+  constexpr size_t kRules = 300;
+  RuleSet rules(kRules);
+  for (size_t i = 0; i < kRules; ++i) {
+    for (int f = 0; f < kNumFields; ++f) rules[i].field[static_cast<size_t>(f)] = full_range(f);
+    const auto lo = static_cast<uint32_t>(1000 * i + 7);
+    rules[i].field[kDstIp] = Range{lo, lo + 499};
+    if (i % 2 == 1) rules[i].field[kSrcPort] = Range{1000, 2000};
+  }
+  canonicalize(rules);
+  IsetIndex idx;
+  idx.build(kDstIp, rules, rqrmi::default_config(kRules));
+  std::vector<bool> dead(kRules, false);
+  for (size_t i = 3; i < kRules; i += 7) {  // positions 0 and n-1 stay live
+    ASSERT_TRUE(idx.erase(rules[i].id));
+    dead[i] = true;
+  }
+
+  // Keys at both ends of every range and in the gaps around it, plus the
+  // ends of the field domain; every one with the source port in and out of
+  // the odd rules' range.
+  std::vector<Packet> pkts;
+  const auto add = [&](uint32_t v) {
+    for (const uint32_t port : {1500u, 5u}) {
+      Packet p;
+      p.field[kDstIp] = v;
+      p.field[kSrcPort] = port;
+      pkts.push_back(p);
+    }
+  };
+  add(0);
+  add(0xFFFFFFFFu);
+  for (const Rule& r : rules) {
+    const Range d = r.field[kDstIp];
+    for (const uint32_t v : {d.lo - 1, d.lo, d.lo + 250, d.hi, d.hi + 1, d.hi + 300}) add(v);
+  }
+
+  // Three predictions per key: the model's, and windows centered on
+  // position 0 and on position n-1 that are clipped at both array ends but
+  // still contain every position.
+  const auto n = static_cast<uint32_t>(kRules);
+  std::vector<uint32_t> vals;
+  std::vector<rqrmi::Prediction> preds;
+  for (const Packet& p : pkts) {
+    const uint32_t v = p[kDstIp];
+    for (const rqrmi::Prediction pred :
+         {idx.predict(v), rqrmi::Prediction{0, n + 3}, rqrmi::Prediction{n - 1, n + 3}}) {
+      vals.push_back(v);
+      preds.push_back(pred);
+    }
+  }
+  std::vector<int32_t> batch(vals.size());
+  idx.search_batch(vals, preds, batch);
+
+  size_t misses_by_range_end = 0;
+  for (size_t k = 0; k < vals.size(); ++k) {
+    const Packet& p = pkts[k / 3];
+    const int32_t pos = idx.search(vals[k], preds[k]);
+    ASSERT_EQ(batch[k], pos) << "key " << vals[k] << " prediction " << k % 3;
+    int32_t want = -1;  // the stored range containing the key, by linear scan
+    for (size_t i = 0; i < kRules; ++i)
+      if (rules[i].field[kDstIp].contains(vals[k])) want = static_cast<int32_t>(i);
+    ASSERT_EQ(pos, want) << "key " << vals[k];
+    if (want < 0 && vals[k] >= rules[0].field[kDstIp].lo) ++misses_by_range_end;
+    const MatchResult got = idx.validate(pos, p);
+    const MatchResult expect = scan(rules, dead, p);
+    EXPECT_EQ(got.rule_id, expect.rule_id) << "key " << vals[k];
+    EXPECT_EQ(got.priority, expect.priority);
+  }
+  EXPECT_GT(misses_by_range_end, kRules);  // the gaps were exercised
+}
+
 TEST(IsetIndex, ModelBytesAreCacheScale) {
   Fixture fx{AppClass::kAcl, 4000, 10};
   // The RQ-RMI part must be small (paper: KBs), the rule store is separate.

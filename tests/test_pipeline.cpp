@@ -353,6 +353,112 @@ TEST(DispatchTest, RoutesOnRuleActionWithMissToLastPort) {
   EXPECT_EQ(checked, pkts.size());
 }
 
+/// Runs `pkts` through Classifier -> Dispatch(`ports` ports) -> one
+/// recording sink per port; returns each port's records.
+std::vector<std::vector<pipeline::Sink::Record>> route_through_dispatch(
+    std::unique_ptr<pipeline::ClassifierElement> cls, const std::vector<Packet>& pkts,
+    size_t ports) {
+  Graph g;
+  auto& src = g.add(std::make_unique<pipeline::TraceSource>(pkts), "src");
+  auto& c = g.add(std::move(cls), "cls");
+  std::vector<std::string> names;
+  for (size_t k = 0; k < ports; ++k) names.push_back("p" + std::to_string(k));
+  auto& disp = g.add(std::make_unique<pipeline::Dispatch>(names), "disp");
+  std::vector<pipeline::Sink*> sinks;
+  for (size_t k = 0; k < ports; ++k) {
+    sinks.push_back(&g.add(std::make_unique<pipeline::Sink>(true), "s" + std::to_string(k)));
+    g.connect(disp, k, *sinks.back());
+  }
+  g.connect(src, 0, c);
+  g.connect(c, 0, disp);
+  g.run();
+  std::vector<std::vector<pipeline::Sink::Record>> out;
+  for (const pipeline::Sink* s : sinks) out.push_back(s->records());
+  return out;
+}
+
+TEST(DispatchTest, ActionTableRoutesEveryRuleAndUnknownIdsToLastPort) {
+  constexpr size_t kActions = 4;  // ports 0..3 by action, port 4 for the rest
+  RuleSet rules = generate_classbench(AppClass::kAcl, 1, 400, 21);
+  for (Rule& r : rules) r.action = static_cast<int32_t>(r.id % kActions);
+  auto online = make_online(rules);
+  std::vector<Packet> pkts = representative_packets(rules, 21);
+  Packet miss;
+  miss.field = {0, 0, 0, 0, 255};
+  LinearSearch before;
+  before.build(rules);
+  ASSERT_FALSE(before.match(miss).hit());
+  pkts.push_back(miss);
+
+  auto proto = std::make_unique<pipeline::ClassifierElement>();
+  proto->attach(online);
+  proto->set_actions(rules);
+  auto replica = std::make_unique<pipeline::ClassifierElement>();
+  replica->adopt_shared(*proto);
+
+  // Inserted after set_actions, so its id is past the table: its packet
+  // routes to the last port although its own action is 0.
+  Rule late;
+  for (int f = 0; f < kNumFields; ++f)
+    late.field[static_cast<size_t>(f)] = Range{pkts[0][f], pkts[0][f]};
+  late.priority = -1;
+  late.id = static_cast<uint32_t>(rules.size());
+  late.action = 0;
+  ASSERT_TRUE(online->insert(late));
+  RuleSet after_rules = rules;
+  after_rules.push_back(late);
+  LinearSearch oracle;
+  oracle.build(after_rules);
+
+  const auto routed = route_through_dispatch(std::move(proto), pkts, kActions + 1);
+  size_t seen = 0;
+  size_t late_seen = 0;
+  for (size_t port = 0; port < routed.size(); ++port) {
+    for (const auto& rec : routed[port]) {
+      const MatchResult want = oracle.match(pkts[rec.index]);
+      ASSERT_EQ(rec.rule_id, want.rule_id);
+      if (port < kActions) {
+        EXPECT_EQ(rules[static_cast<size_t>(rec.rule_id)].action, static_cast<int32_t>(port));
+        EXPECT_EQ(rec.action, static_cast<int32_t>(port));
+      } else {
+        EXPECT_TRUE(rec.rule_id == MatchResult::kNoMatch ||
+                    rec.rule_id == static_cast<int32_t>(late.id))
+            << "rule " << rec.rule_id;
+        EXPECT_EQ(rec.action, -1);
+        if (rec.rule_id == static_cast<int32_t>(late.id)) ++late_seen;
+      }
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, pkts.size());
+  EXPECT_GE(late_seen, 1u);
+  ASSERT_EQ(routed.back().size() - late_seen, 1u);  // the miss
+
+  // An adopt_shared replica routes every packet identically.
+  const auto replicated = route_through_dispatch(std::move(replica), pkts, kActions + 1);
+  ASSERT_EQ(replicated.size(), routed.size());
+  for (size_t port = 0; port < routed.size(); ++port) {
+    ASSERT_EQ(replicated[port].size(), routed[port].size()) << "port " << port;
+    for (size_t k = 0; k < routed[port].size(); ++k) {
+      EXPECT_EQ(replicated[port][k].index, routed[port][k].index);
+      EXPECT_EQ(replicated[port][k].rule_id, routed[port][k].rule_id);
+      EXPECT_EQ(replicated[port][k].action, routed[port][k].action);
+    }
+  }
+}
+
+TEST(DispatchTest, SetActionsRejectsSparseIds) {
+  RuleSet rules(2);
+  canonicalize(rules);
+  pipeline::ClassifierElement el;
+  rules[1].id = 4 * 2 + 64;  // the largest id a 2-rule span may carry
+  EXPECT_NO_THROW(el.set_actions(rules));
+  rules[1].id = 4 * 2 + 65;
+  EXPECT_THROW(el.set_actions(rules), std::invalid_argument);
+  rules[1].id = 0xFFFFFFFFu;
+  EXPECT_THROW(el.set_actions(rules), std::invalid_argument);
+}
+
 // --- end-to-end: the acceptance differential --------------------------------
 
 // Pcap in -> FlowCache -> Classifier -> Dispatch -> record sinks, with live

@@ -397,7 +397,8 @@ TEST(OnlineUpdates, JournalReplayKeepsApplyOrderAcrossRetrain) {
     {
       const auto pin = nm.pin();
       for (const IsetIndex& is : pin.nm().isets())
-        for (const Rule& r : is.rules()) iset_ids.insert(static_cast<int32_t>(r.id));
+        for (size_t i = 0; i < is.size(); ++i)
+          iset_ids.insert(static_cast<int32_t>(is.rule(i).id));
       for (const Rule& r : pin.nm().remainder_rules())
         base_ids.insert(static_cast<int32_t>(r.id));
     }
@@ -644,9 +645,9 @@ TEST(OnlineUpdates, RetrainReusesModelsForUnchangedIsets) {
   bool found = false;
   nm.with_stable_view([&](const NuevoMatch& v) {
     for (const IsetIndex& is : v.isets()) {
-      for (size_t i = 0; i < is.rules().size(); ++i) {
+      for (size_t i = 0; i < is.size(); ++i) {
         if (is.alive(i)) {
-          iset_victim = is.rules()[i].id;
+          iset_victim = is.rule(i).id;
           found = true;
           return;
         }
